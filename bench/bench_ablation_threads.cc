@@ -1,8 +1,8 @@
-// Ablation: TOUCH join-phase thread scaling. The paper runs single-threaded
-// (one BlueGene core per subset); this extension parallelizes the
-// independent per-inner-node local joins and measures how far that carries
-// on a multicore host. Speedup saturates when phase 1+2 (single-threaded
-// tree build and assignment, Amdahl) dominate.
+// Ablation: TOUCH thread scaling. The paper runs single-threaded (one
+// BlueGene core per subset); this extension runs the assignment and the
+// local joins as morsels over every runner and measures how far that
+// carries on a multicore host. Speedup saturates when the single-threaded
+// tree build (Amdahl) dominates.
 
 #include <string>
 

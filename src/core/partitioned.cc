@@ -31,11 +31,11 @@ class SlabCollector : public ResultCollector {
   SlabCollector(std::span<const Box> a, std::span<const Box> b, int axis,
                 float origin, float inv_width, int slab, int max_slab,
                 const std::vector<uint32_t>& a_ids,
-                const std::vector<uint32_t>& b_ids, Mutex* mutex,
+                const std::vector<uint32_t>& b_ids, Mutex* sink_mutex,
                 ResultCollector* out)
       : a_(a), b_(b), axis_(axis), origin_(origin), inv_width_(inv_width),
         slab_(slab), max_slab_(max_slab), a_ids_(a_ids), b_ids_(b_ids),
-        mutex_(mutex), out_(out) {}
+        sink_mutex_(sink_mutex), out_(out) {}
 
   void Emit(uint32_t local_a, uint32_t local_b) override {
     const uint32_t global_a = a_ids_[local_a];
@@ -47,7 +47,7 @@ class SlabCollector : public ResultCollector {
         max_slab_);
     if (home != slab_) return;
     ++emitted_;
-    const MutexLock lock(*mutex_);
+    const MutexLock lock(*sink_mutex_);
     out_->Emit(global_a, global_b);
   }
 
@@ -63,7 +63,7 @@ class SlabCollector : public ResultCollector {
   const int max_slab_;
   const std::vector<uint32_t>& a_ids_;
   const std::vector<uint32_t>& b_ids_;
-  Mutex* mutex_;
+  Mutex* sink_mutex_;  // serializes Emit across the slab workers
   ResultCollector* out_;
   uint64_t emitted_ = 0;
 };
@@ -121,7 +121,7 @@ JoinStats PartitionedJoin(
   // worker materializes its slab's boxes, joins them with a fresh algorithm
   // instance, and reports globally-unique pairs through SlabCollector.
   phase.Reset();
-  Mutex out_mutex;
+  Mutex sink_mutex;
   Mutex stats_mutex;
   size_t max_slab_bytes = 0;
   std::vector<int> schedule(partitions);
@@ -144,7 +144,7 @@ JoinStats PartitionedJoin(
 
       SlabCollector collector(a, b, axis, origin, inv_width, slab,
                               partitions - 1, slab_a[slab], slab_b[slab],
-                              &out_mutex, &out);
+                              &sink_mutex, &out);
       JoinStats slab_stats = algorithm->Join(boxes_a, boxes_b, collector);
       slab_stats.results = collector.emitted();
 

@@ -2,20 +2,39 @@
 
 #include <algorithm>
 #include <atomic>
-#include <optional>
+#include <climits>
 #include <cmath>
+#include <exception>
+#include <functional>
+#include <memory>
+#include <optional>
+#include <ranges>
+#include <string>
+#include <system_error>
 #include <thread>
-#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "core/overlap_kernel.h"
 #include "geom/grid.h"
 #include "obs/trace.h"
+#include "util/format.h"
 #include "util/memory.h"
 #include "util/thread_annotations.h"
 #include "util/timer.h"
 
 namespace touch {
 namespace {
+
+// Probe objects per assignment morsel, and build items (grid nodes) or
+// assigned entities (subtree descent) per local-join morsel: fine enough
+// that the root of a skewed tree spreads over every runner, coarse enough
+// that claiming a morsel costs nothing next to running it.
+constexpr uint32_t kProbesPerMorsel = 16384;
+constexpr uint32_t kItemsPerMorsel = 4096;
+constexpr uint32_t kEntitiesPerMorsel = 512;
+
+constexpr uint32_t kNoNode = UINT32_MAX;
 
 // Average extent per axis over a dataset (used to size local-join grid
 // cells, paper section 5.2.2).
@@ -59,43 +78,292 @@ void NodeGridResolution(const Box& node_mbr, const Vec3& min_cell_edge,
   }
 }
 
-// Dense per-node grid, reused across nodes via epoch stamping: a cell's list
-// is only valid when its stamp matches the current epoch, so switching to
-// the next node is O(1) instead of clearing (or re-allocating) every cell.
-// Array indexing here replaced a hash map that dominated the join phase.
-class ReusableGrid {
+// Id lists of many buckets in compressed rows: bucket k's ids are
+// ids_[begin_[k], begin_[k + 1]), in insertion order. Built by counting, so
+// it holds one offset per bucket and one id per entry — and, reused across
+// joins, its two arrays stop growing at the largest build they served,
+// where a vector per bucket would keep the longest list any build ever
+// left in it. Serves as a node's grid (buckets = cells) and as the
+// per-node entity lists (buckets = tree nodes).
+class IdBuckets {
  public:
-  void Reset(uint64_t total_cells) {
-    if (cells_.size() < total_cells) {
-      cells_.resize(total_cells);
-      epoch_mark_.resize(total_cells, 0);
+  // `for_each_bucket(id, visit)` calls visit(bucket) for every bucket `id`
+  // goes into, if any.
+  template <typename Ids, typename ForEachBucket>
+  void Build(uint64_t buckets, const Ids& ids,
+             const ForEachBucket& for_each_bucket) {
+    begin_.assign(buckets + 1, 0);
+    for (const uint32_t id : ids) {
+      for_each_bucket(id, [&](uint64_t bucket) { ++begin_[bucket + 1]; });
     }
-    ++epoch_;
-  }
-
-  std::vector<uint32_t>& Cell(uint64_t index) {
-    std::vector<uint32_t>& cell = cells_[index];
-    if (epoch_mark_[index] != epoch_) {
-      epoch_mark_[index] = epoch_;
-      cell.clear();
+    for (uint64_t bucket = 1; bucket <= buckets; ++bucket) {
+      begin_[bucket] += begin_[bucket - 1];
     }
-    return cell;
+    ids_.resize(begin_[buckets]);
+    for (const uint32_t id : ids) {
+      for_each_bucket(id,
+                      [&](uint64_t bucket) { ids_[begin_[bucket]++] = id; });
+    }
+    // The fill advanced every begin to the next bucket's; shift them back.
+    for (uint64_t bucket = buckets; bucket > 0; --bucket) {
+      begin_[bucket] = begin_[bucket - 1];
+    }
+    begin_[0] = 0;
   }
 
-  // Occupants of a cell, empty when untouched this epoch.
-  std::span<const uint32_t> Occupants(uint64_t index) const {
-    if (epoch_mark_[index] != epoch_) return {};
-    return cells_[index];
+  std::span<const uint32_t> operator[](uint64_t bucket) const {
+    return std::span<const uint32_t>(ids_).subspan(
+        begin_[bucket], begin_[bucket + 1] - begin_[bucket]);
   }
 
-  size_t MemoryUsageBytes() const {
-    return NestedVectorBytes(cells_) + VectorBytes(epoch_mark_);
+  // Analytic footprint of the current build (sizes, not the capacity left
+  // over from earlier builds).
+  size_t Bytes() const {
+    return begin_.size() * sizeof(size_t) + ids_.size() * sizeof(uint32_t);
   }
 
  private:
-  std::vector<std::vector<uint32_t>> cells_;
-  std::vector<uint32_t> epoch_mark_;
-  uint32_t epoch_ = 0;
+  // size_t: a grid of huge boxes can hold more than 2^32 copies, which
+  // must fail to allocate rather than wrap.
+  std::vector<size_t> begin_;
+  std::vector<uint32_t> ids_;
+};
+
+// Working state of one runner. The calling thread's also holds the join's
+// shared arrays, which every runner reads: the slabs, the assignment and
+// per-node entity lists, and a split node's grid (`cells`).
+struct LocalJoinScratch {
+  IdBuckets cells;
+  std::vector<uint32_t> descent_stack;
+  std::vector<uint32_t> hits;
+  BoxSlab child_mbr_slab;
+  BoxSlab item_slab;
+  BoxSlab probe_slab;
+  std::vector<uint32_t> assigned_node;
+  IdBuckets entities;
+};
+
+// One scratch per thread, reused across joins: its arrays grow to the
+// largest join a thread has run once, not once per join. A join nested
+// on a thread that already holds the scratch (a sink joining inside Emit)
+// gets a private one instead of clobbering a grid helpers may be reading.
+class ScratchLease {
+ public:
+  ScratchLease() {
+    thread_local LocalJoinScratch scratch;
+    thread_local bool leased = false;
+    if (!leased) {
+      leased = true;
+      leased_ = &leased;
+      scratch_ = &scratch;
+    } else {
+      owned_ = std::make_unique<LocalJoinScratch>();
+      scratch_ = owned_.get();
+    }
+  }
+  ~ScratchLease() {
+    if (leased_ != nullptr) *leased_ = false;
+  }
+  ScratchLease(const ScratchLease&) = delete;
+  ScratchLease& operator=(const ScratchLease&) = delete;
+
+  LocalJoinScratch& get() { return *scratch_; }
+
+ private:
+  bool* leased_ = nullptr;
+  LocalJoinScratch* scratch_ = nullptr;
+  std::unique_ptr<LocalJoinScratch> owned_;
+};
+
+// Helpers on threads of their own, spawned per offer and joined by the
+// next offer or the destructor: the runners behind TouchOptions::threads.
+class ThreadHelpers final : public MorselHelpers {
+ public:
+  explicit ThreadHelpers(int max_threads) : max_threads_(max_threads) {}
+  ~ThreadHelpers() override { JoinAll(); }
+  ThreadHelpers(const ThreadHelpers&) = delete;
+  ThreadHelpers& operator=(const ThreadHelpers&) = delete;
+
+  int Offer(int max_helpers, const std::function<void()>& help) override {
+    // The previous loop's helpers have nothing left to claim; joining them
+    // first keeps at most max_threads_ helpers alive at once.
+    JoinAll();
+    const int count = std::clamp(max_helpers, 0, max_threads_);
+    threads_.reserve(static_cast<size_t>(count));
+    for (int i = 0; i < count; ++i) {
+      try {
+        threads_.emplace_back(help);
+      } catch (const std::system_error&) {
+        return i;  // out of threads: the ones started still count
+      }
+    }
+    return count;
+  }
+
+ private:
+  void JoinAll() {
+    for (std::thread& thread : threads_) thread.join();
+    threads_.clear();
+  }
+
+  const int max_threads_;
+  std::vector<std::thread> threads_;
+};
+
+// Runs morsel `index` on a runner's scratch; `direct` is true when the
+// calling thread runs the whole loop alone and may emit straight into the
+// sink.
+using MorselRun = std::function<void(size_t index, LocalJoinScratch& scratch,
+                                     bool direct)>;
+
+// Claim state of one morsel loop, shared by the calling thread and its
+// helpers. Helpers hold it through a shared_ptr: a helper that starts after
+// every morsel is claimed reads `next`, leaves, and never touches the
+// caller's stack — `run` is only invoked under a claim the caller is still
+// waiting for.
+struct MorselClaims {
+  MorselClaims(size_t morsels, MorselRun body, std::function<bool()> yield_fn,
+               CancellationToken token)
+      : count(morsels),
+        run(std::move(body)),
+        yield(std::move(yield_fn)),
+        done(std::make_unique<std::atomic<bool>[]>(morsels)) {
+    cancel = std::move(token);
+  }
+
+  const size_t count;
+  const MorselRun run;
+  const std::function<bool()> yield;
+  CancellationToken cancel;  // set once, before any helper is offered
+  std::atomic<size_t> next{0};
+  const std::unique_ptr<std::atomic<bool>[]> done;
+  std::atomic<int> helpers{0};
+  Mutex mutex;
+  CondVar finished;
+  std::exception_ptr failure GUARDED_BY(mutex);  // a helper's, rethrown
+};
+
+void HelpMorsels(MorselClaims& claims) {
+  ScratchLease lease;  // taken before claiming: nothing throws under a claim
+  bool ran = false;
+  while (!claims.cancel.stop_requested()) {
+    const size_t index = claims.next.fetch_add(1, std::memory_order_relaxed);
+    if (index >= claims.count) return;
+    if (!ran) {
+      ran = true;
+      claims.helpers.fetch_add(1, std::memory_order_relaxed);
+    }
+    std::exception_ptr failure;
+    try {
+      claims.run(index, lease.get(), /*direct=*/false);
+    } catch (...) {
+      failure = std::current_exception();
+    }
+    {
+      const MutexLock lock(claims.mutex);
+      if (failure && !claims.failure) claims.failure = failure;
+      claims.done[index].store(true, std::memory_order_release);
+    }
+    claims.finished.NotifyAll();
+    if (failure || (claims.yield && claims.yield())) return;
+  }
+}
+
+// Runs morsels [0, count) on the calling thread and on whatever helpers
+// `helpers` (may be null) lends. `finish(i)` folds morsel i's output into
+// the join on the calling thread, strictly in index order, so the join's
+// output never depends on who ran what. Stops claiming once `cancel` fires;
+// every morsel that did run is still finished. Returns the number of
+// helpers that ran at least one morsel. Never returns — or throws — while
+// a helper still runs a morsel.
+int RunMorsels(MorselHelpers* helpers, size_t count, LocalJoinScratch& scratch,
+               const CancellationToken& cancel, const MorselRun& run,
+               const std::function<void(size_t)>& finish) {
+  std::shared_ptr<MorselClaims> claims;
+  int offered = 0;
+  if (helpers != nullptr && count > 1 && !cancel.stop_requested()) {
+    claims = std::make_shared<MorselClaims>(count, run, helpers->YieldSignal(),
+                                            cancel);
+    offered = helpers->Offer(
+        static_cast<int>(std::min<size_t>(count - 1, INT_MAX)),
+        [claims] { HelpMorsels(*claims); });
+  }
+  if (offered == 0) {
+    for (size_t i = 0; i < count && !cancel.stop_requested(); ++i) {
+      run(i, scratch, /*direct=*/true);
+      finish(i);
+    }
+    return 0;
+  }
+
+  MorselClaims& shared = *claims;
+  size_t finished = 0;
+  size_t current = count;  // the morsel this thread is running, if any
+  std::exception_ptr failure;
+  try {
+    while (!cancel.stop_requested()) {
+      current = shared.next.fetch_add(1, std::memory_order_relaxed);
+      if (current >= count) break;
+      run(current, scratch, /*direct=*/false);
+      shared.done[current].store(true, std::memory_order_release);
+      current = count;
+      while (finished < count &&
+             shared.done[finished].load(std::memory_order_acquire)) {
+        finish(finished++);
+      }
+    }
+  } catch (...) {
+    failure = std::current_exception();
+    if (current < count) {
+      shared.done[current].store(true, std::memory_order_release);
+    }
+  }
+  // Close the loop (a later claim sees the end) and wait out the morsels
+  // helpers still hold — claims form the prefix [0, claimed) — finishing
+  // them in order as they land.
+  const size_t claimed =
+      std::min(shared.next.exchange(count, std::memory_order_relaxed), count);
+  for (size_t i = finished; i < claimed; ++i) {
+    {
+      MutexLock lock(shared.mutex);
+      while (!shared.done[i].load(std::memory_order_acquire)) {
+        shared.finished.Wait(lock);
+      }
+      if (!failure) failure = shared.failure;
+    }
+    if (!failure) {
+      try {
+        finish(i);
+      } catch (...) {
+        failure = std::current_exception();
+      }
+    }
+  }
+  if (failure) std::rethrow_exception(failure);
+  return shared.helpers.load(std::memory_order_relaxed);
+}
+
+// One phase's morsel figures, reported on its span.
+struct MorselReport {
+  size_t morsels = 0;
+  int helpers = 0;  // most helpers in any one loop of the phase
+  double max_morsel_ms = 0;
+
+  void Annotate(SpanScope& span) const {
+    if (!span.active()) return;
+    span.AddAttr("morsels", std::to_string(morsels));
+    span.AddAttr("helpers", std::to_string(helpers));
+    span.AddAttr("max_morsel_ms", StrFormat("%.3f", max_morsel_ms));
+  }
+};
+
+// Output of one morsel, folded into the join by the calling thread.
+struct MorselOutput {
+  JoinStats stats;
+  // Pairs in (a, b) order, buffered while helpers may be running.
+  std::vector<std::pair<uint32_t, uint32_t>> pairs;
+  size_t grid_bytes = 0;
+  double ms = 0;
 };
 
 }  // namespace
@@ -125,9 +393,10 @@ JoinStats TouchJoin::JoinWithPrebuiltTree(const TouchTree& tree,
                                           std::span<const Box> b,
                                           ResultCollector& out,
                                           float probe_epsilon,
-                                          CancellationToken cancel) {
+                                          CancellationToken cancel,
+                                          MorselHelpers* helpers) {
   return JoinOriented(a, b, /*swapped=*/false, out, &tree, probe_epsilon,
-                      std::move(cancel));
+                      std::move(cancel), helpers);
 }
 
 JoinStats TouchJoin::JoinOriented(std::span<const Box> build,
@@ -135,7 +404,8 @@ JoinStats TouchJoin::JoinOriented(std::span<const Box> build,
                                   ResultCollector& out,
                                   const TouchTree* prebuilt,
                                   float probe_epsilon,
-                                  CancellationToken cancel) {
+                                  CancellationToken cancel,
+                                  MorselHelpers* helpers) {
   JoinStats stats;
   Timer total;
   if (build.empty() || probe.empty()) {
@@ -163,6 +433,16 @@ JoinStats TouchJoin::JoinOriented(std::span<const Box> build,
                              : probe[probe_id];
   };
 
+  // Runners: the calling thread plus the caller's helpers, or threads of
+  // the join's own when TouchOptions::threads asks for them.
+  std::optional<ThreadHelpers> own_helpers;
+  if (helpers == nullptr && options_.threads > 1) {
+    own_helpers.emplace(options_.threads - 1);
+    helpers = &*own_helpers;
+  }
+  ScratchLease lease;
+  LocalJoinScratch& scratch = lease.get();
+
   // ---- Phase 1: tree building (Algorithm 2) — skipped when the caller
   // supplies a prebuilt/converted tree (paper section 4.3). ----
   Timer phase;
@@ -183,65 +463,101 @@ JoinStats TouchJoin::JoinOriented(std::span<const Box> build,
   // Ambient phase span: attaches under the engine's "execute" span when one
   // is open on this thread, no-op otherwise (library callers untouched).
   SpanScope assign_span("touch-assign");
-  std::vector<std::vector<uint32_t>> entities(tree.nodes().size());
   const std::span<const TouchTree::Node> nodes = tree.nodes();
   const std::span<const uint32_t> child_ids = tree.child_ids();
   // SoA slab over every node's child MBRs, in child_ids order, so each
   // descent step classifies a node's whole child range with the batched
   // overlap kernel (one node.children_begin/count range per node). Built
   // once per join, shared read-only with the local-join phase below.
-  BoxSlab child_mbr_slab;
+  BoxSlab& child_mbr_slab = scratch.child_mbr_slab;
   child_mbr_slab.AssignGenerated(
       child_ids.size(), [&](size_t i) { return nodes[child_ids[i]].mbr; });
-  for (uint32_t probe_id = 0; probe_id < probe.size(); ++probe_id) {
-    // Cooperative cancellation, amortized over a power-of-two stride so the
-    // check costs one branch on the hot path.
-    if ((probe_id & 2047u) == 0 && cancel.stop_requested()) break;
-    const Box box = ProbeBox(probe_id);
-    uint32_t current = tree.root();
-    ++stats.node_comparisons;
-    if (!Intersects(box, nodes[current].mbr)) {
-      ++stats.filtered;
-      continue;
-    }
-    bool placed = false;
-    while (!nodes[current].IsLeaf()) {
-      // Count children whose MBR overlaps the object; stop at the second
-      // (ClassifyOverlaps keeps the scalar loop's early exit and examined
-      // count, so node_comparisons stays the paper's metric).
-      const TouchTree::Node& node = nodes[current];
-      size_t first = 0;
-      const int hits = ClassifyOverlaps(
-          child_mbr_slab, node.children_begin,
-          node.children_begin + node.children_count, box, &first,
-          &stats.node_comparisons);
-      if (hits >= 2) {
-        // Overlaps several children: assign to their parent (this node).
-        entities[current].push_back(probe_id);
-        placed = true;
-        break;
+  // Morsels of consecutive probe ids record each object's node here; the
+  // per-node entity lists are then laid out in probe-id order, exactly the
+  // order a single runner appends them in.
+  std::vector<uint32_t>& assigned_node = scratch.assigned_node;
+  assigned_node.assign(probe.size(), kNoNode);
+  const auto assign_range = [&](uint32_t begin, uint32_t end,
+                                JoinStats& counts) {
+    for (uint32_t probe_id = begin; probe_id < end; ++probe_id) {
+      // Cooperative cancellation, amortized over a power-of-two stride so
+      // the check costs one branch on the hot path.
+      if ((probe_id & 2047u) == 0 && cancel.stop_requested()) return;
+      const Box box = ProbeBox(probe_id);
+      uint32_t current = tree.root();
+      ++counts.node_comparisons;
+      if (!Intersects(box, nodes[current].mbr)) {
+        ++counts.filtered;
+        continue;
       }
-      if (hits == 0) {
-        // Inside the node's MBR but outside every child: dead space, the
-        // object cannot intersect anything in this subtree.
-        ++stats.filtered;
-        placed = true;  // handled (filtered)
-        break;
+      bool placed = false;
+      while (!nodes[current].IsLeaf()) {
+        // Count children whose MBR overlaps the object; stop at the second
+        // (ClassifyOverlaps keeps the scalar loop's early exit and examined
+        // count, so node_comparisons stays the paper's metric).
+        const TouchTree::Node& node = nodes[current];
+        size_t first = 0;
+        const int hits = ClassifyOverlaps(
+            child_mbr_slab, node.children_begin,
+            node.children_begin + node.children_count, box, &first,
+            &counts.node_comparisons);
+        if (hits >= 2) {
+          // Overlaps several children: assign to their parent (this node).
+          assigned_node[probe_id] = current;
+          placed = true;
+          break;
+        }
+        if (hits == 0) {
+          // Inside the node's MBR but outside every child: dead space, the
+          // object cannot intersect anything in this subtree.
+          ++counts.filtered;
+          placed = true;  // handled (filtered)
+          break;
+        }
+        current = child_ids[first];
       }
-      current = child_ids[first];
+      if (!placed) {
+        // Reached a leaf: assign to the leaf (lowest possible placement).
+        assigned_node[probe_id] = current;
+      }
     }
-    if (!placed) {
-      // Reached a leaf: assign to the leaf (lowest possible placement).
-      entities[current].push_back(probe_id);
-    }
-  }
+  };
+  const uint32_t probe_count = static_cast<uint32_t>(probe.size());
+  MorselReport assign_report;
+  assign_report.morsels =
+      (probe.size() + kProbesPerMorsel - 1) / kProbesPerMorsel;
+  std::vector<MorselOutput> assign_out(assign_report.morsels);
+  assign_report.helpers = RunMorsels(
+      helpers, assign_report.morsels, scratch, cancel,
+      [&](size_t index, LocalJoinScratch&, bool) {
+        MorselOutput output;  // stack-local, like the local join's below
+        Timer morsel;
+        const uint32_t begin = static_cast<uint32_t>(index) * kProbesPerMorsel;
+        assign_range(begin, std::min(begin + kProbesPerMorsel, probe_count),
+                     output.stats);
+        output.ms = morsel.Seconds() * 1e3;
+        assign_out[index] = std::move(output);
+      },
+      [&](size_t index) {
+        stats.MergeCounters(assign_out[index].stats);
+        assign_report.max_morsel_ms =
+            std::max(assign_report.max_morsel_ms, assign_out[index].ms);
+      });
+  IdBuckets& entities = scratch.entities;
+  entities.Build(nodes.size(), std::views::iota(uint32_t{0}, probe_count),
+                 [&](uint32_t probe_id, auto&& visit) {
+                   if (assigned_node[probe_id] != kNoNode) {
+                     visit(assigned_node[probe_id]);
+                   }
+                 });
   stats.assign_seconds = phase.Seconds();
+  assign_report.Annotate(assign_span);
   assign_span.End();
 
   // ---- Phase 3: per-node local join (Algorithm 4). ----
   phase.Reset();
-  // Calling-thread span; the parallel path's spawned workers carry no
-  // ambient context, so the one span covers the phase's wall clock.
+  // Helpers attach no spans (they carry no ambient context); this one
+  // covers the phase's wall clock and reports the morsels on it.
   SpanScope local_join_span("touch-local-join");
   const std::span<const uint32_t> item_ids = tree.item_ids();
 
@@ -255,221 +571,294 @@ JoinStats TouchJoin::JoinOriented(std::span<const Box> build,
       options_.cell_size_multiplier * std::min(avg_build.y, avg_probe.y),
       options_.cell_size_multiplier * std::min(avg_build.z, avg_probe.z));
 
-  // Per-worker scratch state; a single instance serves the sequential path.
-  struct WorkerContext {
-    JoinStats stats;
-    ReusableGrid cells;
-    std::vector<uint32_t> descent_stack;
-    std::vector<uint32_t> hits;
-    size_t max_grid_bytes = 0;
-  };
-
-  // Slabs for the grid local join, built once per join and shared
-  // read-only across workers: the build items in item_ids order (so every
-  // leaf's items are one contiguous range) and the probe boxes by probe id
-  // with the remaining enlargement folded in (BoxAt round-trips the exact
-  // ProbeBox floats, so reference-point dedup is unchanged). Like the
-  // sweep's sorted copies, this probe scratch stays out of memory_bytes.
-  BoxSlab item_slab;
-  BoxSlab probe_slab;
+  // Slabs for the grid local join, rebuilt per join in the calling
+  // thread's scratch and read by every runner: the build items in item_ids
+  // order (so every leaf's items are one contiguous range) and the probe
+  // boxes by probe id with the remaining enlargement folded in (BoxAt
+  // round-trips the exact ProbeBox floats, so reference-point dedup is
+  // unchanged). Like the sweep's sorted copies, this probe scratch stays
+  // out of memory_bytes.
+  BoxSlab& item_slab = scratch.item_slab;
+  BoxSlab& probe_slab = scratch.probe_slab;
   if (options_.local_join == LocalJoinStrategy::kGrid) {
     item_slab.AssignGenerated(
         item_ids.size(), [&](size_t i) { return build[item_ids[i]]; });
     probe_slab.Assign(probe, probe_epsilon);
   }
 
-  // Joins one inner node's assigned probe entities against the build items
-  // of its descendant leaves. `emit(build_id, probe_id)` must already handle
-  // the swap back to (a, b) order.
-  const auto join_node = [&](uint32_t node_id, WorkerContext& ctx,
-                             auto&& emit) {
-    const std::vector<uint32_t>& node_entities = entities[node_id];
-    const TouchTree::Node& node = nodes[node_id];
-    const auto items = item_ids.subspan(node.item_begin, node.ItemCount());
-
-    // Subtree descent for entity-poor nodes: the probe object walks this
-    // node's own hierarchy, pruning children by MBR, and is compared only
-    // against the items of the leaves it reaches.
-    const auto subtree_join = [&](uint32_t start_node, uint32_t probe_id) {
-      const Box probe_box = probe_slab.BoxAt(probe_id);
-      ctx.descent_stack.clear();
-      ctx.descent_stack.push_back(start_node);
-      while (!ctx.descent_stack.empty()) {
-        const TouchTree::Node& current = nodes[ctx.descent_stack.back()];
-        ctx.descent_stack.pop_back();
-        ctx.hits.clear();
-        if (current.IsLeaf()) {
-          ctx.stats.comparisons +=
-              CollectOverlaps(item_slab, current.item_begin,
-                              current.item_end, probe_box, ctx.hits);
-          for (const uint32_t pos : ctx.hits) emit(item_ids[pos], probe_id);
-          continue;
-        }
-        // Matching children push in ascending order, as the scalar loop
-        // did — this stack visits them last-pushed-first either way.
-        ctx.stats.node_comparisons += CollectOverlaps(
-            child_mbr_slab, current.children_begin,
-            current.children_begin + current.children_count, probe_box,
-            ctx.hits);
-        for (const uint32_t pos : ctx.hits) {
-          ctx.descent_stack.push_back(child_ids[pos]);
-        }
+  // Subtree descent for entity-poor nodes: the probe object walks this
+  // node's own hierarchy, pruning children by MBR, and is compared only
+  // against the items of the leaves it reaches. `emit(build_id, probe_id)`
+  // here and below must already handle the swap back to (a, b) order.
+  const auto subtree_join = [&](uint32_t start_node, uint32_t probe_id,
+                                LocalJoinScratch& s, JoinStats& counts,
+                                auto&& emit) {
+    const Box probe_box = probe_slab.BoxAt(probe_id);
+    s.descent_stack.clear();
+    s.descent_stack.push_back(start_node);
+    while (!s.descent_stack.empty()) {
+      const TouchTree::Node& current = nodes[s.descent_stack.back()];
+      s.descent_stack.pop_back();
+      s.hits.clear();
+      if (current.IsLeaf()) {
+        counts.comparisons += CollectOverlaps(
+            item_slab, current.item_begin, current.item_end, probe_box,
+            s.hits);
+        for (const uint32_t pos : s.hits) emit(item_ids[pos], probe_id);
+        continue;
       }
-    };
-
-    // Grid only where it pays: enough entities to amortize building it, and
-    // not vastly fewer entities than descendant items (a handful of objects
-    // descending a big subtree prunes most of it; a grid would make every
-    // item probe cells for nothing).
-    const bool grid_pays =
-        node_entities.size() >= options_.grid_min_entities &&
-        node_entities.size() * 16 >= items.size();
-    if (options_.local_join == LocalJoinStrategy::kGrid && !grid_pays) {
-      for (size_t i = 0; i < node_entities.size(); ++i) {
-        if ((i & 1023u) == 0 && cancel.stop_requested()) return;
-        subtree_join(node_id, node_entities[i]);
+      // Matching children push in ascending order, as the scalar loop
+      // did — this stack visits them last-pushed-first either way.
+      counts.node_comparisons += CollectOverlaps(
+          child_mbr_slab, current.children_begin,
+          current.children_begin + current.children_count, probe_box,
+          s.hits);
+      for (const uint32_t pos : s.hits) {
+        s.descent_stack.push_back(child_ids[pos]);
       }
-      return;
     }
-    if (options_.local_join == LocalJoinStrategy::kGrid) {
-      // Equi-width grid over this node's region; the node's B entities are
-      // scattered into the cells they overlap, then every descendant A
-      // object probes the cells it overlaps. A pair straddling several
-      // shared cells is reported only by the cell holding its reference
-      // point.
-      int res[3];
-      NodeGridResolution(node.mbr, min_cell_edge, options_.grid_resolution,
-                         /*max_total_cells=*/uint64_t{1} << 18, res);
-      const GridMapper grid(node.mbr, res[0], res[1], res[2]);
-      const uint64_t stride_y = static_cast<uint64_t>(res[2]);
-      const uint64_t stride_x = stride_y * static_cast<uint64_t>(res[1]);
-      ctx.cells.Reset(static_cast<uint64_t>(res[0]) * res[1] * res[2]);
-      for (const uint32_t probe_id : node_entities) {
-        const CellRange range = grid.RangeOf(probe_slab.BoxAt(probe_id));
-        for (int x = range.lo.x; x <= range.hi.x; ++x) {
-          for (int y = range.lo.y; y <= range.hi.y; ++y) {
-            const uint64_t base = static_cast<uint64_t>(x) * stride_x +
-                                  static_cast<uint64_t>(y) * stride_y;
-            for (int z = range.lo.z; z <= range.hi.z; ++z) {
-              ctx.cells.Cell(base + static_cast<uint64_t>(z))
-                  .push_back(probe_id);
-            }
-          }
-        }
-      }
-      for (size_t item_index = 0; item_index < items.size(); ++item_index) {
-        if ((item_index & 4095u) == 0 && cancel.stop_requested()) return;
-        const uint32_t build_id = items[item_index];
-        const Box& build_box = build[build_id];
-        const CellRange range = grid.RangeOf(build_box);
-        for (int x = range.lo.x; x <= range.hi.x; ++x) {
-          for (int y = range.lo.y; y <= range.hi.y; ++y) {
-            const uint64_t base = static_cast<uint64_t>(x) * stride_x +
-                                  static_cast<uint64_t>(y) * stride_y;
-            for (int z = range.lo.z; z <= range.hi.z; ++z) {
-              // The cell's occupants are probe ids in scatter order; the
-              // gather kernel tests them against this item in that order
-              // and counts one comparison per occupant, like the scalar
-              // loop it replaces.
-              ctx.hits.clear();
-              ctx.stats.comparisons += CollectOverlapsGather(
-                  probe_slab,
-                  ctx.cells.Occupants(base + static_cast<uint64_t>(z)),
-                  build_box, ctx.hits);
-              for (const uint32_t probe_id : ctx.hits) {
-                const Box probe_box = probe_slab.BoxAt(probe_id);
-                const CellCoord home =
-                    grid.CellOf(ReferencePoint(build_box, probe_box));
-                if (home.x == x && home.y == y && home.z == z) {
-                  emit(build_id, probe_id);
-                }
+  };
+
+  // Equi-width grid over one node's region with the node's B entities
+  // scattered into the cells they overlap (into `cells`, which holds the
+  // occupants); `bytes` is the grid's analytic footprint.
+  struct NodeGrid {
+    GridMapper mapper;
+    uint64_t stride_x;
+    uint64_t stride_y;
+    size_t bytes;
+  };
+  const auto scatter = [&](uint32_t node_id, IdBuckets& cells) {
+    int res[3];
+    NodeGridResolution(nodes[node_id].mbr, min_cell_edge,
+                       options_.grid_resolution,
+                       /*max_total_cells=*/uint64_t{1} << 18, res);
+    const uint64_t stride_y = static_cast<uint64_t>(res[2]);
+    NodeGrid grid{GridMapper(nodes[node_id].mbr, res[0], res[1], res[2]),
+                  stride_y * static_cast<uint64_t>(res[1]), stride_y, 0};
+    cells.Build(grid.mapper.TotalCells(), entities[node_id],
+                [&](uint32_t probe_id, auto&& visit) {
+                  const CellRange range =
+                      grid.mapper.RangeOf(probe_slab.BoxAt(probe_id));
+                  for (int x = range.lo.x; x <= range.hi.x; ++x) {
+                    for (int y = range.lo.y; y <= range.hi.y; ++y) {
+                      const uint64_t base =
+                          static_cast<uint64_t>(x) * grid.stride_x +
+                          static_cast<uint64_t>(y) * grid.stride_y;
+                      for (int z = range.lo.z; z <= range.hi.z; ++z) {
+                        visit(base + static_cast<uint64_t>(z));
+                      }
+                    }
+                  }
+                });
+    grid.bytes = cells.Bytes();
+    return grid;
+  };
+
+  // Every descendant A object in `items` probes the cells it overlaps. A
+  // pair straddling several shared cells is reported only by the cell
+  // holding its reference point. Reads `cells` only, so the runners of a
+  // split node share one scattered grid.
+  const auto probe_grid = [&](const NodeGrid& grid, const IdBuckets& cells,
+                              std::span<const uint32_t> items,
+                              LocalJoinScratch& s, JoinStats& counts,
+                              auto&& emit) {
+    for (size_t item_index = 0; item_index < items.size(); ++item_index) {
+      if ((item_index & 4095u) == 0 && cancel.stop_requested()) return;
+      const uint32_t build_id = items[item_index];
+      const Box& build_box = build[build_id];
+      const CellRange range = grid.mapper.RangeOf(build_box);
+      for (int x = range.lo.x; x <= range.hi.x; ++x) {
+        for (int y = range.lo.y; y <= range.hi.y; ++y) {
+          const uint64_t base = static_cast<uint64_t>(x) * grid.stride_x +
+                                static_cast<uint64_t>(y) * grid.stride_y;
+          for (int z = range.lo.z; z <= range.hi.z; ++z) {
+            // The cell's occupants are probe ids in scatter order; the
+            // gather kernel tests them against this item in that order
+            // and counts one comparison per occupant, like the scalar
+            // loop it replaces.
+            s.hits.clear();
+            counts.comparisons += CollectOverlapsGather(
+                probe_slab, cells[base + static_cast<uint64_t>(z)],
+                build_box, s.hits);
+            for (const uint32_t probe_id : s.hits) {
+              const Box probe_box = probe_slab.BoxAt(probe_id);
+              const CellCoord home =
+                  grid.mapper.CellOf(ReferencePoint(build_box, probe_box));
+              if (home.x == x && home.y == y && home.z == z) {
+                emit(build_id, probe_id);
               }
             }
           }
         }
       }
-      ctx.max_grid_bytes =
-          std::max(ctx.max_grid_bytes, ctx.cells.MemoryUsageBytes());
-    } else if (options_.local_join == LocalJoinStrategy::kNestedLoop) {
-      LocalNestedLoop(build, items, probe, node_entities, &ctx.stats, emit);
-    } else {
-      LocalPlaneSweep(build, items, probe, node_entities, &ctx.stats, emit);
     }
   };
 
-  // Inner nodes with work to do.
-  std::vector<uint32_t> active_nodes;
-  for (uint32_t node_id = 0; node_id < nodes.size(); ++node_id) {
-    if (!entities[node_id].empty() && nodes[node_id].ItemCount() > 0) {
-      active_nodes.push_back(node_id);
+  // The local join as morsels, in the order a single runner emits. Grid
+  // nodes with more than kItemsPerMorsel items are split by item range
+  // and share one grid the calling thread scatters first; descent nodes
+  // split by entity range; every other node is one morsel.
+  enum class MorselKind : uint8_t { kGrid, kSharedGrid, kDescent, kWhole };
+  struct JoinMorsel {
+    uint32_t node;
+    MorselKind kind;
+    uint32_t begin;  // item range (grid kinds) or entity range (descent)
+    uint32_t end;
+  };
+  // A loop of consecutive morsels; `shared_node` names the split node whose
+  // morsels make up the whole round, kNoNode for a run of unsplit nodes.
+  struct Round {
+    size_t first;
+    size_t last;
+    uint32_t shared_node;
+  };
+  std::vector<JoinMorsel> morsels;
+  std::vector<Round> rounds;
+  const auto open_round = [&](uint32_t shared_node) {
+    if (rounds.empty() || rounds.back().shared_node != kNoNode ||
+        shared_node != kNoNode) {
+      rounds.push_back(Round{morsels.size(), morsels.size(), shared_node});
     }
+  };
+  const auto add_split = [&](uint32_t node_id, MorselKind kind, uint32_t size,
+                             uint32_t per_morsel) {
+    for (uint32_t begin = 0; begin < size; begin += per_morsel) {
+      morsels.push_back(
+          JoinMorsel{node_id, kind, begin, std::min(size, begin + per_morsel)});
+    }
+  };
+  for (uint32_t node_id = 0; node_id < nodes.size(); ++node_id) {
+    const size_t entity_count = entities[node_id].size();
+    const uint32_t item_count = nodes[node_id].ItemCount();
+    if (entity_count == 0 || item_count == 0) continue;
+    if (options_.local_join != LocalJoinStrategy::kGrid) {
+      open_round(kNoNode);
+      morsels.push_back(JoinMorsel{node_id, MorselKind::kWhole, 0, 0});
+    } else if (entity_count < options_.grid_min_entities ||
+               entity_count * 16 < item_count) {
+      // Grid only where it pays: enough entities to amortize building it,
+      // and not vastly fewer entities than descendant items (a handful of
+      // objects descending a big subtree prunes most of it; a grid would
+      // make every item probe cells for nothing).
+      open_round(kNoNode);
+      add_split(node_id, MorselKind::kDescent,
+                static_cast<uint32_t>(entity_count), kEntitiesPerMorsel);
+    } else if (item_count > kItemsPerMorsel) {
+      open_round(node_id);
+      add_split(node_id, MorselKind::kSharedGrid, item_count, kItemsPerMorsel);
+    } else {
+      open_round(kNoNode);
+      morsels.push_back(JoinMorsel{node_id, MorselKind::kGrid, 0, item_count});
+    }
+    rounds.back().last = morsels.size();
   }
 
-  size_t max_grid_bytes = 0;
-  const int threads =
-      std::clamp(options_.threads, 1,
-                 static_cast<int>(std::thread::hardware_concurrency() > 0
-                                      ? std::thread::hardware_concurrency()
-                                      : 1));
-  if (threads <= 1 || active_nodes.size() < 2) {
-    WorkerContext ctx;
-    const auto emit = [&](uint32_t build_id, uint32_t probe_id) {
-      ++ctx.stats.results;
-      if (swapped) {
-        out.Emit(probe_id, build_id);
-      } else {
-        out.Emit(build_id, probe_id);
+  std::optional<NodeGrid> shared_grid;  // the current round's split node
+  const auto join_morsel = [&](const JoinMorsel& m, LocalJoinScratch& s,
+                               MorselOutput& output, auto&& emit) {
+    const TouchTree::Node& node = nodes[m.node];
+    const auto items = item_ids.subspan(node.item_begin, node.ItemCount());
+    switch (m.kind) {
+      case MorselKind::kSharedGrid:
+        probe_grid(*shared_grid, scratch.cells,
+                   items.subspan(m.begin, m.end - m.begin), s, output.stats,
+                   emit);
+        break;
+      case MorselKind::kGrid: {
+        const NodeGrid grid = scatter(m.node, s.cells);
+        output.grid_bytes = grid.bytes;
+        probe_grid(grid, s.cells, items, s, output.stats, emit);
+        break;
       }
-    };
-    for (const uint32_t node_id : active_nodes) {
-      if (cancel.stop_requested()) break;
-      join_node(node_id, ctx, emit);
-    }
-    stats.MergeCounters(ctx.stats);
-    max_grid_bytes = ctx.max_grid_bytes;
-  } else {
-    // The inner-node joins are independent; workers pull node ids from a
-    // shared counter and buffer their pairs per node, flushing into the
-    // (single-threaded) collector under a mutex.
-    std::vector<WorkerContext> contexts(static_cast<size_t>(threads));
-    std::atomic<size_t> next_node{0};
-    Mutex out_mutex;
-    const auto worker = [&](WorkerContext& ctx) {
-      std::vector<std::pair<uint32_t, uint32_t>> pending;
-      const auto emit = [&](uint32_t build_id, uint32_t probe_id) {
-        ++ctx.stats.results;
-        if (swapped) {
-          pending.emplace_back(probe_id, build_id);
+      case MorselKind::kDescent: {
+        const auto node_entities = entities[m.node];
+        for (uint32_t i = m.begin; i < m.end; ++i) {
+          if ((i & 1023u) == 0 && cancel.stop_requested()) return;
+          subtree_join(m.node, node_entities[i], s, output.stats, emit);
+        }
+        break;
+      }
+      case MorselKind::kWhole:
+        if (options_.local_join == LocalJoinStrategy::kNestedLoop) {
+          LocalNestedLoop(build, items, probe, entities[m.node],
+                          &output.stats, emit);
         } else {
-          pending.emplace_back(build_id, probe_id);
+          LocalPlaneSweep(build, items, probe, entities[m.node],
+                          &output.stats, emit);
         }
-      };
-      while (true) {
-        if (cancel.stop_requested()) break;
-        const size_t index = next_node.fetch_add(1);
-        if (index >= active_nodes.size()) break;
-        join_node(active_nodes[index], ctx, emit);
-        if (!pending.empty()) {
-          const MutexLock lock(out_mutex);
-          for (const auto& [a_id, b_id] : pending) out.Emit(a_id, b_id);
-          pending.clear();
-        }
-      }
-    };
-    std::vector<std::thread> pool;
-    pool.reserve(contexts.size());
-    for (WorkerContext& ctx : contexts) pool.emplace_back(worker, std::ref(ctx));
-    for (std::thread& t : pool) t.join();
-    for (const WorkerContext& ctx : contexts) {
-      stats.MergeCounters(ctx.stats);
-      max_grid_bytes = std::max(max_grid_bytes, ctx.max_grid_bytes);
+        break;
     }
+  };
+
+  std::vector<MorselOutput> join_out(morsels.size());
+  MorselReport join_report;
+  join_report.morsels = morsels.size();
+  size_t max_grid_bytes = 0;
+  for (const Round& round : rounds) {
+    if (cancel.stop_requested()) break;
+    if (round.shared_node != kNoNode) {
+      // Scatter once on the calling thread; the round's morsels only read
+      // the grid, from every runner.
+      shared_grid.emplace(scatter(round.shared_node, scratch.cells));
+      max_grid_bytes = std::max(max_grid_bytes, shared_grid->bytes);
+    }
+    const int round_helpers = RunMorsels(
+        helpers, round.last - round.first, scratch, cancel,
+        [&](size_t index, LocalJoinScratch& s, bool direct) {
+          // Built on this runner's stack and stored once: runners bumping
+          // counters in neighbouring outputs would share cache lines.
+          MorselOutput output;
+          const JoinMorsel& m = morsels[round.first + index];
+          Timer morsel;
+          if (direct) {
+            join_morsel(m, s, output,
+                        [&](uint32_t build_id, uint32_t probe_id) {
+                          ++output.stats.results;
+                          if (swapped) {
+                            out.Emit(probe_id, build_id);
+                          } else {
+                            out.Emit(build_id, probe_id);
+                          }
+                        });
+          } else {
+            join_morsel(m, s, output,
+                        [&](uint32_t build_id, uint32_t probe_id) {
+                          ++output.stats.results;
+                          if (swapped) {
+                            output.pairs.emplace_back(probe_id, build_id);
+                          } else {
+                            output.pairs.emplace_back(build_id, probe_id);
+                          }
+                        });
+          }
+          output.ms = morsel.Seconds() * 1e3;
+          join_out[round.first + index] = std::move(output);
+        },
+        [&](size_t index) {
+          MorselOutput& output = join_out[round.first + index];
+          stats.MergeCounters(output.stats);
+          max_grid_bytes = std::max(max_grid_bytes, output.grid_bytes);
+          join_report.max_morsel_ms =
+              std::max(join_report.max_morsel_ms, output.ms);
+          // The sink's single-thread contract: only this thread emits,
+          // in morsel order — the sequence a single runner produces.
+          if (!cancel.stop_requested()) {
+            for (const auto& [a_id, b_id] : output.pairs) out.Emit(a_id, b_id);
+          }
+          output.pairs = {};
+        });
+    join_report.helpers = std::max(join_report.helpers, round_helpers);
+    shared_grid.reset();
   }
   stats.join_seconds = phase.Seconds();
+  join_report.Annotate(local_join_span);
   local_join_span.End();
 
-  stats.memory_bytes = tree.MemoryUsageBytes() + NestedVectorBytes(entities) +
-                       max_grid_bytes + VectorBytes(enlarged_probe);
+  stats.memory_bytes = tree.MemoryUsageBytes() +
+                       assigned_node.size() * sizeof(uint32_t) +
+                       entities.Bytes() + max_grid_bytes +
+                       VectorBytes(enlarged_probe);
   stats.total_seconds = total.Seconds();
   return stats;
 }

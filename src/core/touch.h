@@ -1,6 +1,7 @@
 #ifndef TOUCH_CORE_TOUCH_H_
 #define TOUCH_CORE_TOUCH_H_
 
+#include "core/morsel.h"
 #include "core/touch_tree.h"
 #include "join/algorithm.h"
 #include "join/local_join.h"
@@ -45,13 +46,15 @@ struct TouchOptions {
   enum class JoinOrder { kAuto, kBuildOnA, kBuildOnB };
   JoinOrder join_order = JoinOrder::kAuto;
 
-  /// Worker threads for the join phase (phase 3). The per-inner-node local
-  /// joins are independent, so they parallelize the same way the paper's
-  /// BlueGene deployment parallelizes whole subsets across cores. 0 or 1
-  /// keeps the paper's single-threaded execution; results are identical
-  /// either way (only the result *order* may differ). Phases 1 and 2 stay
-  /// single-threaded: they are a small fraction of the join on selective
-  /// workloads.
+  /// Runners for the assignment and local-join phases (phases 2 and 3) when
+  /// the caller lends none: the calling thread plus `threads - 1` helper
+  /// threads of the join's own. Both phases run as morsels — fixed ranges
+  /// of probe objects, then (inner node, item range) slices — claimed from
+  /// one shared counter, so even one dominant node (the root of a skewed
+  /// tree) spreads over every runner. Results, their emission order and
+  /// every JoinStats counter are identical at any thread count; only the
+  /// calling thread emits. 0 or 1 runs the paper's single-threaded
+  /// execution; phase 1 (the tree build) is single-threaded either way.
   int threads = 1;
 };
 
@@ -89,15 +92,20 @@ class TouchJoin : public SpatialJoinAlgorithm {
   /// copy (and account for it in JoinStats::memory_bytes).
   ///
   /// `cancel` is polled cooperatively inside the assignment and local-join
-  /// loops (every few thousand objects / once per inner node): once it
+  /// loops (every few thousand objects / before every morsel): once it
   /// fires, the join stops emitting and returns early with partial stats.
   /// The caller decides what a partial run means (the engine flags the
   /// request Cancelled); a default token makes every check free.
+  ///
+  /// `helpers`, when given, lends the threads that run morsels beside the
+  /// calling thread in place of TouchOptions::threads (the engine lends its
+  /// idle pool workers). The output is the same with or without them.
   JoinStats JoinWithPrebuiltTree(const TouchTree& tree,
                                  std::span<const Box> a,
                                  std::span<const Box> b, ResultCollector& out,
                                  float probe_epsilon = 0.0f,
-                                 CancellationToken cancel = {});
+                                 CancellationToken cancel = {},
+                                 MorselHelpers* helpers = nullptr);
 
   const TouchOptions& options() const { return options_; }
 
@@ -105,14 +113,15 @@ class TouchJoin : public SpatialJoinAlgorithm {
   /// Runs the three phases with `build` as the tree-building dataset and
   /// `probe` as the assigned dataset. `swapped` is true when build==B, in
   /// which case emitted pairs are flipped back to (a, b) order.
-  /// `probe_epsilon` enlarges probe boxes on the fly and `cancel` stops the
-  /// run early (see JoinWithPrebuiltTree).
+  /// `probe_epsilon` enlarges probe boxes on the fly, `cancel` stops the
+  /// run early and `helpers` lends runners (see JoinWithPrebuiltTree).
   JoinStats JoinOriented(std::span<const Box> build,
                          std::span<const Box> probe, bool swapped,
                          ResultCollector& out,
                          const TouchTree* prebuilt = nullptr,
                          float probe_epsilon = 0.0f,
-                         CancellationToken cancel = {});
+                         CancellationToken cancel = {},
+                         MorselHelpers* helpers = nullptr);
 
   TouchOptions options_;
 };

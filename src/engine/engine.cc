@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <unordered_map>
 #include <utility>
 
 #include "core/factory.h"
+#include "core/morsel.h"
 #include "core/overlap_kernel.h"
 #include "core/touch.h"
 #include "index/rtree.h"
@@ -17,6 +19,27 @@
 
 namespace touch {
 namespace {
+
+/// Lends the engine pool's idle workers to a request's TOUCH morsels. A
+/// lone request gets every idle sibling; on a saturated pool nobody is
+/// idle and the request's own worker runs every morsel. A helper hands its
+/// worker back as soon as a submitted request waits in the queue.
+class PoolHelpers : public MorselHelpers {
+ public:
+  explicit PoolHelpers(WorkerPool& pool) : pool_(pool) {}
+
+  int Offer(int max_helpers, const std::function<void()>& help) override {
+    return pool_.OfferHelp(max_helpers, help);
+  }
+
+  std::function<bool()> YieldSignal() const override {
+    const WorkerPool* pool = &pool_;  // outlives every task it runs
+    return [pool] { return pool->has_queued_tasks(); };
+  }
+
+ private:
+  WorkerPool& pool_;
+};
 
 /// Flips pairs back to (a, b) order when a join ran with swapped inputs.
 class SwappedCollector : public ResultCollector {
@@ -1218,9 +1241,10 @@ JoinResult QueryEngine::ExecuteTouch(JoinPlan plan, const JoinRequest& request,
       entry->boxes.empty() ? std::span<const Box>(build_src)
                            : std::span<const Box>(entry->boxes);
   TouchJoin join(touch_options);
+  PoolHelpers helpers(pool_);
   if (plan.build_on_a) {
     result.stats = join.JoinWithPrebuiltTree(entry->tree, tree_boxes, b, out,
-                                             0.0f, ctx.cancel);
+                                             0.0f, ctx.cancel, &helpers);
   } else {
     // The tree was built raw over B, so side A carries the distance-join
     // enlargement — applied on the fly per probe box (as the cached INL
@@ -1228,7 +1252,7 @@ JoinResult QueryEngine::ExecuteTouch(JoinPlan plan, const JoinRequest& request,
     SwappedCollector swapped(out);
     result.stats = join.JoinWithPrebuiltTree(entry->tree, tree_boxes, a,
                                              swapped, request.epsilon,
-                                             ctx.cancel);
+                                             ctx.cancel, &helpers);
   }
   exec_span.End();
   metrics_->histogram("touch_engine_execute_seconds")

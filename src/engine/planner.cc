@@ -78,7 +78,9 @@ JoinPlan Planner::Plan(const DatasetStats& stats_a, const DatasetStats& stats_b,
   const size_t larger = std::max(size_a, size_b);
 
   JoinPlan plan;
-  plan.touch.threads = 1;  // batch-level parallelism belongs to the engine
+  // No threads of the join's own: the engine lends a TOUCH request its
+  // pool's idle workers as morsel helpers (none when the pool is busy).
+  plan.touch.threads = 1;
 
   if (smaller == 0) {
     plan.algorithm = "nl";

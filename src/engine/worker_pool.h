@@ -21,7 +21,8 @@ namespace touch {
 ///
 /// The destructor (1) sets `stopping_` under `mutex_`, (2) wakes every
 /// worker, then (3) joins them. Workers drain the queue first: a worker only
-/// exits when `stopping_` is set AND the queue is empty, so every task that
+/// exits when `stopping_` is set AND the queue is empty (help calls queued
+/// by OfferHelp drain too), so every task that
 /// was enqueued before the destructor ran still executes (and delivers its
 /// `on_done`) before the join completes. Consequences callers rely on:
 ///
@@ -55,14 +56,16 @@ class WorkerPool {
   /// Tasks waiting in the queue right now (excludes running ones).
   size_t queue_depth() const EXCLUDES(mutex_);
 
-  /// Workers currently inside a task or its on_done notification.
+  /// Workers currently inside a task, its on_done notification, or a
+  /// help call (OfferHelp).
   int busy_workers() const {
     return busy_workers_.load(std::memory_order_relaxed);
   }
 
   /// Tasks finished since construction — including tasks whose should_run
   /// declined (their completion was still delivered), so this counter plus
-  /// queue_depth plus busy_workers accounts for every Submit.
+  /// queue_depth plus busy_workers (minus running help calls) accounts for
+  /// every Submit.
   uint64_t tasks_completed() const {
     return tasks_completed_.load(std::memory_order_relaxed);
   }
@@ -84,6 +87,22 @@ class WorkerPool {
   void Submit(std::function<void()> task, std::function<void()> on_done,
               std::function<bool()> should_run = nullptr) EXCLUDES(mutex_);
 
+  /// Hands `help` to at most `max_helpers` workers that are idle right now
+  /// — blocked for work, with no queued task already headed their way — and
+  /// returns how many took it (0 on a saturated pool). Each calls `help`
+  /// once. A help call never delays a submitted task: workers take queued
+  /// tasks first, and has_queued_tasks() tells a running help call to hand
+  /// its worker back. Help calls count as busy workers and extend WaitIdle,
+  /// but not tasks_completed. This is how a lone request borrows the pool's
+  /// idle workers for its own morsels.
+  int OfferHelp(int max_helpers, const std::function<void()>& help)
+      EXCLUDES(mutex_);
+
+  /// True while submitted tasks wait in the queue (lock-free).
+  bool has_queued_tasks() const {
+    return queued_tasks_.load(std::memory_order_relaxed) > 0;
+  }
+
   /// Blocks until every task submitted so far has finished (tasks enqueued
   /// by other threads while waiting extend the wait).
   void WaitIdle() EXCLUDES(mutex_);
@@ -99,11 +118,15 @@ class WorkerPool {
 
   std::atomic<int> busy_workers_{0};
   std::atomic<uint64_t> tasks_completed_{0};
+  std::atomic<size_t> queued_tasks_{0};  // mirrors queue_.size()
   mutable Mutex mutex_;
   CondVar work_available_;
   CondVar idle_;
   std::deque<Task> queue_ GUARDED_BY(mutex_);
-  size_t in_flight_ GUARDED_BY(mutex_) = 0;  // queued + currently running
+  std::deque<std::function<void()>> help_queue_ GUARDED_BY(mutex_);
+  int waiting_workers_ GUARDED_BY(mutex_) = 0;  // blocked for work
+  // Queued + currently running, tasks and help calls alike.
+  size_t in_flight_ GUARDED_BY(mutex_) = 0;
   bool stopping_ GUARDED_BY(mutex_) = false;
   std::vector<std::thread> workers_;
 };

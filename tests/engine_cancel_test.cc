@@ -423,6 +423,69 @@ TEST_F(EngineCancelTest, RacingCancelAgainstCompletionStress) {
   EXPECT_TRUE(engine.Execute({a, b, 2.0f}, out).ok());
 }
 
+/// Cancels its own request from inside its first Emit: on the request's
+/// worker, in the middle of the TOUCH local join, while helpers may still
+/// hold morsels. Records into test-owned storage like LoggingSink.
+class CancelOnFirstEmitSink : public ResultSink {
+ public:
+  CancelOnFirstEmitSink(std::shared_future<RequestHandle*> handle,
+                        SinkLog* log)
+      : handle_(std::move(handle)), log_(*log) {}
+  void Emit(uint32_t, uint32_t) override {
+    ++log_.emits;
+    if (!cancelled_) {
+      cancelled_ = true;
+      handle_.get()->Cancel();
+    }
+  }
+  void OnComplete(const JoinResult& result) override {
+    log_.last_status = result.status;
+    ++log_.completions;
+  }
+
+ private:
+  std::shared_future<RequestHandle*> handle_;
+  SinkLog& log_;
+  bool cancelled_ = false;
+};
+
+TEST_F(EngineCancelTest, CancelMidLocalJoinCompletesOnceWithHelpers) {
+  const Dataset big_a = GenerateSynthetic(Distribution::kClustered, 30000, 65);
+  const Dataset big_b = GenerateSynthetic(Distribution::kClustered, 60000, 66);
+  SinkLog log;
+  {
+    EngineOptions options;
+    options.threads = 4;  // one request in flight: three idle helpers
+    QueryEngine engine(options);
+    const JoinRequest request{engine.RegisterDataset("A", big_a),
+                              engine.RegisterDataset("B", big_b), 2.0f};
+    JoinPlan plan = engine.Plan(request);
+    plan.algorithm = "touch";  // the morsel loops are what is under test
+
+    for (int round = 0; round < 4; ++round) {
+      const int completions_before = log.completions.load();
+      std::promise<RequestHandle*> handle_ready;
+      RequestHandle handle = engine.SubmitPlanned(
+          plan, request,
+          std::make_unique<CancelOnFirstEmitSink>(
+              handle_ready.get_future().share(), &log));
+      handle_ready.set_value(&handle);
+      const JoinResult result = handle.Get();
+      EXPECT_TRUE(result.cancelled()) << round;
+      EXPECT_EQ(handle.phase(), RequestPhase::kCancelled);
+      EXPECT_EQ(log.completions.load(), completions_before + 1) << round;
+      EXPECT_EQ(log.last_status, RequestStatus::kCancelled);
+    }
+    // The pool is whole again: a plain request on the same workers (and
+    // stacks) runs to completion.
+    CountingCollector out;
+    EXPECT_TRUE(engine.Execute(request, out).ok());
+  }
+  // The engine drained its pool on destruction; every cancelled request
+  // completed exactly once, and no helper delivered anything afterwards.
+  EXPECT_EQ(log.completions.load(), 4);
+}
+
 TEST(RequestLifecycleNamesTest, StableNamesForTelemetry) {
   EXPECT_STREQ(RequestPhaseName(RequestPhase::kQueued), "queued");
   EXPECT_STREQ(RequestPhaseName(RequestPhase::kBuildingIndex),

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "datagen/distributions.h"
 #include "join/nested_loop.h"
+#include "obs/trace.h"
 #include "test_util.h"
 
 namespace touch {
@@ -330,6 +333,113 @@ TEST_F(QueryEngineTest, InvalidHandlesAreRejected) {
   const JoinResult result = engine.Execute({0, 1, 1.0f}, out);
   EXPECT_FALSE(result.error.empty());
   EXPECT_EQ(out.count(), 0u);
+}
+
+// --- Morsel helpers: a lone TOUCH request borrows idle pool workers --------
+
+/// The engine's plan for `request` with TOUCH forced, so the tests below
+/// exercise the morsel loops whatever the planner would pick.
+JoinPlan TouchPlan(const QueryEngine& engine, const JoinRequest& request) {
+  JoinPlan plan = engine.Plan(request);
+  plan.algorithm = "touch";
+  return plan;
+}
+
+/// `attr` of the named span of the request traced under `trace_id`, -1
+/// when absent.
+long SpanAttr(const Tracer& tracer, uint64_t trace_id, const std::string& name,
+              const std::string& attr) {
+  for (const SpanRecord& record : tracer.Snapshot()) {
+    if (record.trace_id != trace_id || record.name != name) continue;
+    for (const auto& [key, value] : record.attrs) {
+      if (key == attr) return std::stol(value);
+    }
+  }
+  return -1;
+}
+
+class MorselHelperTest : public ::testing::Test {
+ protected:
+  // Big enough that the root of the tree splits into many item morsels.
+  Dataset a_ = GenerateSynthetic(Distribution::kClustered, 30000, 53);
+  Dataset b_ = GenerateSynthetic(Distribution::kClustered, 60000, 54);
+};
+
+TEST_F(MorselHelperTest, LoneRequestBorrowsIdleWorkersAndKeepsTheSequence) {
+  // The reference: the same plan on a one-thread pool, where nobody is idle
+  // to help.
+  std::vector<IdPair> reference;
+  {
+    EngineOptions options;
+    options.threads = 1;
+    QueryEngine engine(options);
+    const JoinRequest request{engine.RegisterDataset("a", a_),
+                              engine.RegisterDataset("b", b_), 2.0f};
+    VectorCollector out;
+    ASSERT_TRUE(engine
+                    .SubmitPlanned(TouchPlan(engine, request), request,
+                                   std::make_unique<ForwardingSink>(out))
+                    .Get()
+                    .ok());
+    reference = out.pairs();
+  }
+  ASSERT_FALSE(reference.empty());
+
+  EngineOptions options;
+  options.threads = 4;
+  options.tracer = std::make_shared<Tracer>();
+  QueryEngine engine(options);
+  const JoinRequest request{engine.RegisterDataset("a", a_),
+                            engine.RegisterDataset("b", b_), 2.0f};
+  // One request in flight leaves three workers idle. Whether they wake
+  // before the caller runs out of morsels is up to the scheduler, so a few
+  // attempts are allowed; every one must emit the reference sequence.
+  long most_helpers = 0;
+  for (int attempt = 0; attempt < 5 && most_helpers == 0; ++attempt) {
+    VectorCollector out;
+    const JoinResult result =
+        engine
+            .SubmitPlanned(TouchPlan(engine, request), request,
+                           std::make_unique<ForwardingSink>(out))
+            .Get();
+    ASSERT_TRUE(result.ok()) << result.error;
+    EXPECT_EQ(out.pairs(), reference);
+    EXPECT_EQ(result.stats.results, reference.size());
+    for (const char* phase : {"touch-assign", "touch-local-join"}) {
+      EXPECT_GE(SpanAttr(*options.tracer, result.trace_id, phase, "morsels"),
+                1)
+          << phase;
+      const long helpers =
+          SpanAttr(*options.tracer, result.trace_id, phase, "helpers");
+      EXPECT_GE(helpers, 0) << phase;
+      EXPECT_LE(helpers, 3) << phase;  // the caller is one of four workers
+      most_helpers = std::max(most_helpers, helpers);
+    }
+  }
+  EXPECT_GE(most_helpers, 1);
+}
+
+TEST_F(MorselHelperTest, SaturatedPoolRunsEveryMorselOnTheCaller) {
+  EngineOptions options;
+  options.threads = 1;
+  options.tracer = std::make_shared<Tracer>();
+  QueryEngine engine(options);
+  const JoinRequest request{engine.RegisterDataset("a", a_),
+                            engine.RegisterDataset("b", b_), 2.0f};
+  CountingCollector out;
+  const JoinResult result =
+      engine
+          .SubmitPlanned(TouchPlan(engine, request), request,
+                         std::make_unique<ForwardingSink>(out))
+          .Get();
+  ASSERT_TRUE(result.ok()) << result.error;
+  EXPECT_EQ(out.count(), result.stats.results);
+  for (const char* phase : {"touch-assign", "touch-local-join"}) {
+    EXPECT_GE(SpanAttr(*options.tracer, result.trace_id, phase, "morsels"), 2)
+        << phase;
+    EXPECT_EQ(SpanAttr(*options.tracer, result.trace_id, phase, "helpers"), 0)
+        << phase;
+  }
 }
 
 }  // namespace

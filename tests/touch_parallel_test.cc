@@ -1,14 +1,78 @@
-// Tests of the multi-threaded TOUCH join phase: results and counters must be
-// independent of the thread count; only wall-clock and result order may vary.
+// Tests of the morsel-parallel TOUCH phases: whatever the runner count, the
+// join emits the single runner's exact pair sequence and reports the same
+// counters; only wall-clock may vary.
+
+#include <algorithm>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/touch.h"
 #include "datagen/distributions.h"
+#include "obs/trace.h"
 #include "test_util.h"
+#include "util/rng.h"
 
 namespace touch {
 namespace {
+
+struct Emitted {
+  std::vector<IdPair> sequence;  // in the order the sink saw them
+  JoinStats stats;
+};
+
+Emitted RunInOrder(const TouchOptions& options, const Dataset& a,
+                   const Dataset& b) {
+  TouchJoin join(options);
+  VectorCollector out;
+  Emitted emitted;
+  emitted.stats = join.Join(a, b, out);
+  emitted.sequence = out.pairs();
+  return emitted;
+}
+
+void ExpectSameAsSingleRunner(TouchOptions options, const Dataset& a,
+                              const Dataset& b, int runners) {
+  options.threads = 1;
+  const Emitted single = RunInOrder(options, a, b);
+  options.threads = runners;
+  const Emitted many = RunInOrder(options, a, b);
+  EXPECT_EQ(many.sequence, single.sequence) << runners << " runners";
+  EXPECT_EQ(many.stats.comparisons, single.stats.comparisons);
+  EXPECT_EQ(many.stats.node_comparisons, single.stats.node_comparisons);
+  EXPECT_EQ(many.stats.filtered, single.stats.filtered);
+  EXPECT_EQ(many.stats.results, single.stats.results);
+  EXPECT_EQ(many.stats.results, single.sequence.size());
+  EXPECT_EQ(many.stats.memory_bytes, single.stats.memory_bytes);
+}
+
+// Build items scattered through the cube and probe rods spanning it along
+// x. Both children of this tree's root span the whole x and y range and
+// split z near the top of the cube, so every rod below that split overlaps
+// both and is assigned to the root: one node holds all the work.
+Dataset ScatteredItems(size_t count, uint64_t seed) {
+  Rng rng(seed);
+  Dataset boxes;
+  for (size_t i = 0; i < count; ++i) {
+    const float x = static_cast<float>(rng.Uniform(0, 1000));
+    const float y = static_cast<float>(rng.Uniform(0, 1000));
+    const float z = static_cast<float>(rng.Uniform(0, 1000));
+    boxes.push_back(MakeBox(x, y, z, x + 2, y + 2, z + 2));
+  }
+  return boxes;
+}
+
+Dataset RodsAlongX(size_t count, uint64_t seed) {
+  Rng rng(seed);
+  Dataset rods;
+  for (size_t i = 0; i < count; ++i) {
+    const float y = static_cast<float>(rng.Uniform(0, 970));
+    const float z = static_cast<float>(rng.Uniform(10, 840));
+    rods.push_back(MakeBox(0, y, z, 1000, y + 30, z + 30));
+  }
+  return rods;
+}
 
 class TouchParallelTest : public ::testing::TestWithParam<int> {
  protected:
@@ -49,8 +113,104 @@ TEST_P(TouchParallelTest, CountersMatchSequentialRun) {
   EXPECT_EQ(par_stats.results, seq_stats.results);
 }
 
+TEST_P(TouchParallelTest, EmittedSequenceAndStatsMatchSingleRunner) {
+  ExpectSameAsSingleRunner(TouchOptions{}, a_, b_, GetParam());
+}
+
+TEST_P(TouchParallelTest, SwappedBuildSideKeepsTheSequence) {
+  // kAuto builds on the smaller input: here B, so pairs are flipped back.
+  ExpectSameAsSingleRunner(TouchOptions{}, b_, a_, GetParam());
+}
+
+TEST_P(TouchParallelTest, DominantNodeSplitKeepsTheSequence) {
+  TouchOptions options;
+  options.join_order = TouchOptions::JoinOrder::kBuildOnA;
+  ExpectSameAsSingleRunner(options, ScatteredItems(20000, 117),
+                           RodsAlongX(1500, 118), GetParam());
+}
+
+TEST_P(TouchParallelTest, EveryLocalJoinStrategyKeepsTheSequence) {
+  const Dataset a = GenerateSynthetic(Distribution::kUniform, 1500, 115);
+  const Dataset b = GenerateSynthetic(Distribution::kUniform, 2500, 116);
+  for (const LocalJoinStrategy strategy :
+       {LocalJoinStrategy::kGrid, LocalJoinStrategy::kPlaneSweep,
+        LocalJoinStrategy::kNestedLoop}) {
+    SCOPED_TRACE(LocalJoinStrategyName(strategy));
+    TouchOptions options;
+    options.local_join = strategy;
+    ExpectSameAsSingleRunner(options, a, b, GetParam());
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(ThreadCounts, TouchParallelTest,
-                         ::testing::Values(2, 4, 8));
+                         ::testing::Values(1, 2, 4, 8));
+
+// The morsel figures the join attaches to its phase spans.
+struct PhaseAttrs {
+  long morsels = -1;
+  long helpers = -1;
+  bool has_max_morsel_ms = false;
+};
+
+PhaseAttrs FindPhase(const Tracer& tracer, const std::string& name) {
+  PhaseAttrs attrs;
+  for (const SpanRecord& record : tracer.Snapshot()) {
+    if (record.name != name) continue;
+    for (const auto& [key, value] : record.attrs) {
+      if (key == "morsels") attrs.morsels = std::stol(value);
+      if (key == "helpers") attrs.helpers = std::stol(value);
+      if (key == "max_morsel_ms") attrs.has_max_morsel_ms = true;
+    }
+  }
+  return attrs;
+}
+
+TEST(TouchMorselTest, DominantNodeIsSplitIntoItemMorsels) {
+  const Dataset items = ScatteredItems(20000, 117);
+  const Dataset rods = RodsAlongX(1500, 118);
+  TouchOptions options;
+  options.join_order = TouchOptions::JoinOrder::kBuildOnA;
+
+  // Precondition, through the public tree API: every rod overlaps two
+  // children of the root, so the root is the only node with entities.
+  const TouchTree tree(items, (items.size() + options.partitions - 1) /
+                                  options.partitions,
+                       options.fanout);
+  const TouchTree::Node& root = tree.nodes()[tree.root()];
+  for (const Box& rod : rods) {
+    int overlapped = 0;
+    for (uint32_t c = 0; c < root.children_count; ++c) {
+      const uint32_t child = tree.child_ids()[root.children_begin + c];
+      if (Intersects(rod, tree.nodes()[child].mbr)) ++overlapped;
+    }
+    ASSERT_GE(overlapped, 2);
+  }
+
+  Tracer tracer;
+  JoinStats stats;
+  std::vector<IdPair> pairs;
+  {
+    SpanScope test_span(TraceContext{&tracer, tracer.NewTraceId(), 0},
+                        "test");
+    TouchJoin join(options);
+    VectorCollector out;
+    stats = join.Join(items, rods, out);
+    pairs = out.pairs();
+  }
+  // One node with entities and at least two morsels: its items were split.
+  const PhaseAttrs local_join = FindPhase(tracer, "touch-local-join");
+  EXPECT_GE(local_join.morsels, 2);
+  EXPECT_EQ(local_join.helpers, 0);  // threads = 1: the caller alone
+  EXPECT_TRUE(local_join.has_max_morsel_ms);
+  const PhaseAttrs assign = FindPhase(tracer, "touch-assign");
+  EXPECT_GE(assign.morsels, 1);
+  EXPECT_EQ(assign.helpers, 0);
+  EXPECT_TRUE(assign.has_max_morsel_ms);
+
+  std::sort(pairs.begin(), pairs.end());
+  EXPECT_EQ(pairs, OracleJoin(items, rods));
+  EXPECT_EQ(stats.results, pairs.size());
+}
 
 TEST(TouchParallelEdgeTest, ParallelDistanceJoinMatches) {
   const Dataset a = GenerateSynthetic(Distribution::kGaussian, 2000, 113);
@@ -59,17 +219,13 @@ TEST(TouchParallelEdgeTest, ParallelDistanceJoinMatches) {
   TouchJoin sequential;
   VectorCollector seq_out;
   DistanceJoin(sequential, a, b, 7.5f, seq_out);
-  auto expected = seq_out.pairs();
-  std::sort(expected.begin(), expected.end());
 
   TouchOptions opt;
   opt.threads = 4;
   TouchJoin parallel(opt);
   VectorCollector par_out;
   DistanceJoin(parallel, a, b, 7.5f, par_out);
-  auto got = par_out.pairs();
-  std::sort(got.begin(), got.end());
-  EXPECT_EQ(got, expected);
+  EXPECT_EQ(par_out.pairs(), seq_out.pairs());
 }
 
 TEST(TouchParallelEdgeTest, TinyInputsWithManyThreads) {
@@ -98,6 +254,43 @@ TEST(TouchParallelEdgeTest, AllLocalJoinStrategiesParallelize) {
     EXPECT_EQ(RunJoinSorted(join, enlarged, b), oracle)
         << LocalJoinStrategyName(strategy);
   }
+}
+
+// A sink that runs a join of its own inside Emit: the nested join must not
+// reuse the scratch (and grid) the outer join's helpers may be reading.
+class NestedJoinCollector : public ResultCollector {
+ public:
+  NestedJoinCollector(const Dataset& a, const Dataset& b) : a_(a), b_(b) {}
+  void Emit(uint32_t a_id, uint32_t b_id) override {
+    outer_.emplace_back(a_id, b_id);
+    if (outer_.size() == 1) {
+      TouchJoin inner;
+      inner_ = RunJoinSorted(inner, a_, b_);
+    }
+  }
+  std::vector<IdPair> outer_;
+  std::vector<IdPair> inner_;
+
+ private:
+  const Dataset& a_;
+  const Dataset& b_;
+};
+
+TEST(TouchParallelEdgeTest, JoinNestedInsideEmitLeavesTheOuterJoinIntact) {
+  const Dataset items = ScatteredItems(20000, 117);
+  const Dataset rods = RodsAlongX(1500, 118);
+  const Dataset small_a = GenerateSynthetic(Distribution::kUniform, 500, 119);
+  const Dataset small_b = GenerateSynthetic(Distribution::kUniform, 800, 120);
+  TouchOptions options;
+  options.join_order = TouchOptions::JoinOrder::kBuildOnA;
+  options.threads = 4;
+  TouchJoin join(options);
+  NestedJoinCollector out(small_a, small_b);
+  join.Join(items, rods, out);
+
+  options.threads = 1;
+  EXPECT_EQ(out.outer_, RunInOrder(options, items, rods).sequence);
+  EXPECT_EQ(out.inner_, OracleJoin(small_a, small_b));
 }
 
 }  // namespace

@@ -135,5 +135,51 @@ TEST(WorkerPoolTest, TasksCompletedCountsRunAndSkippedTasks) {
   EXPECT_EQ(pool.tasks_completed(), 50u);
 }
 
+// OfferHelp lends only workers that are idle right now: on a saturated
+// pool nobody takes the help, and every worker that did take it calls it
+// exactly once.
+TEST(WorkerPoolTest, OfferHelpGoesOnlyToIdleWorkers) {
+  WorkerPool pool(1);
+  std::promise<void> started;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  pool.Submit([&started, released] {
+    started.set_value();
+    released.wait();
+  });
+  started.get_future().wait();
+  std::atomic<int> helped{0};
+  EXPECT_EQ(pool.OfferHelp(4, [&helped] { ++helped; }), 0);
+  release.set_value();
+  pool.WaitIdle();
+  EXPECT_EQ(helped.load(), 0);
+
+  WorkerPool wide(3);
+  const int offered = wide.OfferHelp(8, [&helped] { ++helped; });
+  EXPECT_GE(offered, 0);
+  EXPECT_LE(offered, 3);
+  wide.WaitIdle();  // help calls count as in flight
+  EXPECT_EQ(helped.load(), offered);
+}
+
+// has_queued_tasks() is what tells a helper to hand its worker back.
+TEST(WorkerPoolTest, HasQueuedTasksSeesWaitingSubmissions) {
+  WorkerPool pool(1);
+  std::promise<void> started;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  pool.Submit([&started, released] {
+    started.set_value();
+    released.wait();
+  });
+  started.get_future().wait();
+  EXPECT_FALSE(pool.has_queued_tasks());
+  pool.Submit([] {});
+  EXPECT_TRUE(pool.has_queued_tasks());
+  release.set_value();
+  pool.WaitIdle();
+  EXPECT_FALSE(pool.has_queued_tasks());
+}
+
 }  // namespace
 }  // namespace touch
