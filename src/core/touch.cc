@@ -122,12 +122,23 @@ class IdBuckets {
     return begin_.size() * sizeof(size_t) + ids_.size() * sizeof(uint32_t);
   }
 
+  // Bytes held, including capacity left over from earlier builds.
+  size_t CapacityBytes() const { return VectorBytes(begin_) + VectorBytes(ids_); }
+
  private:
   // size_t: a grid of huge boxes can hold more than 2^32 copies, which
   // must fail to allocate rather than wrap.
   std::vector<size_t> begin_;
   std::vector<uint32_t> ids_;
 };
+
+// Bytes of scratch a thread keeps between joins. A join grows its scratch
+// as far as it needs; when it returns, the largest arrays are released
+// until the rest fits. So every thread that ever joined (engine workers,
+// library callers) holds at most this much, whatever the largest join it
+// ran — enough for a 2^18-cell grid plus the slabs of a join of about
+// 200k objects, which then reuse their arrays from join to join.
+constexpr size_t kRetainedScratchBytes = size_t{16} << 20;
 
 // Working state of one runner. The calling thread's also holds the join's
 // shared arrays, which every runner reads: the slabs, the assignment and
@@ -141,12 +152,43 @@ struct LocalJoinScratch {
   BoxSlab probe_slab;
   std::vector<uint32_t> assigned_node;
   IdBuckets entities;
+
+  // Releases the largest arrays until the rest holds at most `budget`
+  // bytes. Allocates nothing.
+  void Trim(size_t budget) {
+    constexpr int kArrays = 8;
+    for (int released = 0; released < kArrays; ++released) {
+      const size_t bytes[kArrays] = {
+          cells.CapacityBytes(),          VectorBytes(descent_stack),
+          VectorBytes(hits),              child_mbr_slab.MemoryUsageBytes(),
+          item_slab.MemoryUsageBytes(),   probe_slab.MemoryUsageBytes(),
+          VectorBytes(assigned_node),     entities.CapacityBytes()};
+      size_t total = 0;
+      int largest = 0;
+      for (int i = 0; i < kArrays; ++i) {
+        total += bytes[i];
+        if (bytes[i] > bytes[largest]) largest = i;
+      }
+      if (total <= budget) return;
+      switch (largest) {
+        case 0: cells = IdBuckets(); break;
+        case 1: descent_stack = {}; break;
+        case 2: hits = {}; break;
+        case 3: child_mbr_slab = BoxSlab(); break;
+        case 4: item_slab = BoxSlab(); break;
+        case 5: probe_slab = BoxSlab(); break;
+        case 6: assigned_node = {}; break;
+        default: entities = IdBuckets(); break;
+      }
+    }
+  }
 };
 
 // One scratch per thread, reused across joins: its arrays grow to the
-// largest join a thread has run once, not once per join. A join nested
-// on a thread that already holds the scratch (a sink joining inside Emit)
-// gets a private one instead of clobbering a grid helpers may be reading.
+// largest join a thread has run once, not once per join, and are trimmed
+// to kRetainedScratchBytes when the lease ends. A join nested on a thread
+// that already holds the scratch (a sink joining inside Emit) gets a
+// private one instead of clobbering a grid helpers may be reading.
 class ScratchLease {
  public:
   ScratchLease() {
@@ -162,7 +204,9 @@ class ScratchLease {
     }
   }
   ~ScratchLease() {
-    if (leased_ != nullptr) *leased_ = false;
+    if (leased_ == nullptr) return;
+    scratch_->Trim(kRetainedScratchBytes);
+    *leased_ = false;
   }
   ScratchLease(const ScratchLease&) = delete;
   ScratchLease& operator=(const ScratchLease&) = delete;
@@ -238,9 +282,12 @@ struct MorselClaims {
   std::atomic<size_t> next{0};
   const std::unique_ptr<std::atomic<bool>[]> done;
   std::atomic<int> helpers{0};
+  std::atomic<int64_t> helper_ns{0};  // morsel time spent by helpers
   Mutex mutex;
   CondVar finished;
-  std::exception_ptr failure GUARDED_BY(mutex);  // a helper's, rethrown
+  // A helper's exception. Set before that helper marks its morsel done, so
+  // whoever sees the morsel done also sees the failure.
+  std::exception_ptr failure GUARDED_BY(mutex);
 };
 
 void HelpMorsels(MorselClaims& claims) {
@@ -254,11 +301,14 @@ void HelpMorsels(MorselClaims& claims) {
       claims.helpers.fetch_add(1, std::memory_order_relaxed);
     }
     std::exception_ptr failure;
+    Timer morsel;
     try {
       claims.run(index, lease.get(), /*direct=*/false);
     } catch (...) {
       failure = std::current_exception();
     }
+    claims.helper_ns.fetch_add(static_cast<int64_t>(morsel.Seconds() * 1e9),
+                               std::memory_order_relaxed);
     {
       const MutexLock lock(claims.mutex);
       if (failure && !claims.failure) claims.failure = failure;
@@ -269,16 +319,27 @@ void HelpMorsels(MorselClaims& claims) {
   }
 }
 
+// What one morsel loop's helpers did.
+struct HelpReport {
+  int helpers = 0;  // helpers that ran at least one morsel
+  // Morsel time the helpers took off the calling thread, less the time it
+  // spent waiting for them: the loop's wall time plus this estimates the
+  // loop on the calling thread alone.
+  double seconds = 0;
+};
+
 // Runs morsels [0, count) on the calling thread and on whatever helpers
 // `helpers` (may be null) lends. `finish(i)` folds morsel i's output into
 // the join on the calling thread, strictly in index order, so the join's
 // output never depends on who ran what. Stops claiming once `cancel` fires;
-// every morsel that did run is still finished. Returns the number of
-// helpers that ran at least one morsel. Never returns — or throws — while
-// a helper still runs a morsel.
-int RunMorsels(MorselHelpers* helpers, size_t count, LocalJoinScratch& scratch,
-               const CancellationToken& cancel, const MorselRun& run,
-               const std::function<void(size_t)>& finish) {
+// every morsel that did run is still finished. An exception from any
+// runner's morsel or from `finish` is rethrown here, and no morsel from a
+// failed one on is finished. Never returns — or throws — while a helper
+// still runs a morsel.
+HelpReport RunMorsels(MorselHelpers* helpers, size_t count,
+                      LocalJoinScratch& scratch,
+                      const CancellationToken& cancel, const MorselRun& run,
+                      const std::function<void(size_t)>& finish) {
   std::shared_ptr<MorselClaims> claims;
   int offered = 0;
   if (helpers != nullptr && count > 1 && !cancel.stop_requested()) {
@@ -293,10 +354,14 @@ int RunMorsels(MorselHelpers* helpers, size_t count, LocalJoinScratch& scratch,
       run(i, scratch, /*direct=*/true);
       finish(i);
     }
-    return 0;
+    return {};
   }
 
   MorselClaims& shared = *claims;
+  const auto helper_failure = [&shared] {
+    const MutexLock lock(shared.mutex);
+    return shared.failure;
+  };
   size_t finished = 0;
   size_t current = count;  // the morsel this thread is running, if any
   std::exception_ptr failure;
@@ -309,6 +374,10 @@ int RunMorsels(MorselHelpers* helpers, size_t count, LocalJoinScratch& scratch,
       current = count;
       while (finished < count &&
              shared.done[finished].load(std::memory_order_acquire)) {
+        // A morsel a helper failed on is done but left no output.
+        if (std::exception_ptr helper = helper_failure()) {
+          std::rethrow_exception(helper);
+        }
         finish(finished++);
       }
     }
@@ -323,11 +392,16 @@ int RunMorsels(MorselHelpers* helpers, size_t count, LocalJoinScratch& scratch,
   // them in order as they land.
   const size_t claimed =
       std::min(shared.next.exchange(count, std::memory_order_relaxed), count);
+  double waited = 0;
   for (size_t i = finished; i < claimed; ++i) {
     {
       MutexLock lock(shared.mutex);
-      while (!shared.done[i].load(std::memory_order_acquire)) {
-        shared.finished.Wait(lock);
+      if (!shared.done[i].load(std::memory_order_acquire)) {
+        Timer wait;
+        while (!shared.done[i].load(std::memory_order_acquire)) {
+          shared.finished.Wait(lock);
+        }
+        waited += wait.Seconds();
       }
       if (!failure) failure = shared.failure;
     }
@@ -339,8 +413,16 @@ int RunMorsels(MorselHelpers* helpers, size_t count, LocalJoinScratch& scratch,
       }
     }
   }
+  // Every claimed morsel is done now: a helper that failed has recorded it.
+  if (!failure) failure = helper_failure();
   if (failure) std::rethrow_exception(failure);
-  return shared.helpers.load(std::memory_order_relaxed);
+  HelpReport report;
+  report.helpers = shared.helpers.load(std::memory_order_relaxed);
+  const double helped =
+      static_cast<double>(shared.helper_ns.load(std::memory_order_relaxed)) *
+      1e-9;
+  report.seconds = std::max(0.0, helped - waited);
+  return report;
 }
 
 // One phase's morsel figures, reported on its span.
@@ -436,8 +518,11 @@ JoinStats TouchJoin::JoinOriented(std::span<const Box> build,
   // Runners: the calling thread plus the caller's helpers, or threads of
   // the join's own when TouchOptions::threads asks for them.
   std::optional<ThreadHelpers> own_helpers;
-  if (helpers == nullptr && options_.threads > 1) {
-    own_helpers.emplace(options_.threads - 1);
+  const int hardware_threads =
+      std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+  const int own_threads = std::clamp(options_.threads, 1, hardware_threads);
+  if (helpers == nullptr && own_threads > 1) {
+    own_helpers.emplace(own_threads - 1);
     helpers = &*own_helpers;
   }
   ScratchLease lease;
@@ -527,7 +612,7 @@ JoinStats TouchJoin::JoinOriented(std::span<const Box> build,
   assign_report.morsels =
       (probe.size() + kProbesPerMorsel - 1) / kProbesPerMorsel;
   std::vector<MorselOutput> assign_out(assign_report.morsels);
-  assign_report.helpers = RunMorsels(
+  const HelpReport assign_help = RunMorsels(
       helpers, assign_report.morsels, scratch, cancel,
       [&](size_t index, LocalJoinScratch&, bool) {
         MorselOutput output;  // stack-local, like the local join's below
@@ -543,6 +628,8 @@ JoinStats TouchJoin::JoinOriented(std::span<const Box> build,
         assign_report.max_morsel_ms =
             std::max(assign_report.max_morsel_ms, assign_out[index].ms);
       });
+  assign_report.helpers = assign_help.helpers;
+  stats.helper_seconds = assign_help.seconds;
   IdBuckets& entities = scratch.entities;
   entities.Build(nodes.size(), std::views::iota(uint32_t{0}, probe_count),
                  [&](uint32_t probe_id, auto&& visit) {
@@ -803,7 +890,7 @@ JoinStats TouchJoin::JoinOriented(std::span<const Box> build,
       shared_grid.emplace(scatter(round.shared_node, scratch.cells));
       max_grid_bytes = std::max(max_grid_bytes, shared_grid->bytes);
     }
-    const int round_helpers = RunMorsels(
+    const HelpReport round_help = RunMorsels(
         helpers, round.last - round.first, scratch, cancel,
         [&](size_t index, LocalJoinScratch& s, bool direct) {
           // Built on this runner's stack and stored once: runners bumping
@@ -848,7 +935,8 @@ JoinStats TouchJoin::JoinOriented(std::span<const Box> build,
           }
           output.pairs = {};
         });
-    join_report.helpers = std::max(join_report.helpers, round_helpers);
+    join_report.helpers = std::max(join_report.helpers, round_help.helpers);
+    stats.helper_seconds += round_help.seconds;
     shared_grid.reset();
   }
   stats.join_seconds = phase.Seconds();

@@ -175,6 +175,7 @@ ShardedJoinResult ShardedRequestHandle::Get() {
     merged.stats.build_seconds += pair.stats.build_seconds;
     merged.stats.assign_seconds += pair.stats.assign_seconds;
     merged.stats.join_seconds += pair.stats.join_seconds;
+    merged.stats.helper_seconds += pair.stats.helper_seconds;
     merged.plan.expected_results += pair.plan.expected_results;
 
     ShardPairReport report;

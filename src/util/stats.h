@@ -37,6 +37,11 @@ struct JoinStats {
   /// which report results continuously instead of after a blocking
   /// partitioning pass.
   double first_result_seconds = 0;
+  /// Seconds of work that helper threads took off the calling thread
+  /// (TOUCH's morsel phases), net of the time it waited for them. 0 when
+  /// the caller ran alone; assign_seconds + join_seconds + helper_seconds
+  /// estimates those phases on a single runner.
+  double helper_seconds = 0;
 
   /// Result selectivity |R| / (|A|*|B|) given the input cardinalities.
   double Selectivity(size_t size_a, size_t size_b) const;

@@ -434,6 +434,7 @@ TEST_F(MorselHelperTest, SaturatedPoolRunsEveryMorselOnTheCaller) {
           .Get();
   ASSERT_TRUE(result.ok()) << result.error;
   EXPECT_EQ(out.count(), result.stats.results);
+  EXPECT_EQ(result.stats.helper_seconds, 0.0);
   for (const char* phase : {"touch-assign", "touch-local-join"}) {
     EXPECT_GE(SpanAttr(*options.tracer, result.trace_id, phase, "morsels"), 2)
         << phase;

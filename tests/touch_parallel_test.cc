@@ -3,16 +3,104 @@
 // counters; only wall-clock may vary.
 
 #include <algorithm>
+#include <cstdlib>
+#include <functional>
+#include <new>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/morsel.h"
 #include "core/touch.h"
 #include "datagen/distributions.h"
 #include "obs/trace.h"
 #include "test_util.h"
 #include "util/rng.h"
+
+// Set on a thread to make that thread's next allocation fail: how the tests
+// below make a helper's morsel throw. Every replaceable form of the global
+// allocation functions is defined here, so memory never crosses between
+// these and a sanitizer's own.
+namespace {
+thread_local bool fail_next_allocation = false;
+
+void* Allocate(std::size_t size, std::size_t alignment, bool nothrow) {
+  if (fail_next_allocation) {
+    fail_next_allocation = false;
+    if (nothrow) return nullptr;
+    throw std::bad_alloc();
+  }
+  if (size == 0) size = 1;
+  void* block =
+      alignment <= alignof(std::max_align_t)
+          ? std::malloc(size)
+          : std::aligned_alloc(alignment,
+                               (size + alignment - 1) / alignment * alignment);
+  if (block == nullptr && !nothrow) throw std::bad_alloc();
+  return block;
+}
+
+constexpr std::size_t kDefaultAlignment = alignof(std::max_align_t);
+}  // namespace
+
+void* operator new(std::size_t size) {
+  return Allocate(size, kDefaultAlignment, false);
+}
+void* operator new[](std::size_t size) {
+  return Allocate(size, kDefaultAlignment, false);
+}
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return Allocate(size, kDefaultAlignment, true);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return Allocate(size, kDefaultAlignment, true);
+}
+void* operator new(std::size_t size, std::align_val_t alignment) {
+  return Allocate(size, static_cast<std::size_t>(alignment), false);
+}
+void* operator new[](std::size_t size, std::align_val_t alignment) {
+  return Allocate(size, static_cast<std::size_t>(alignment), false);
+}
+void* operator new(std::size_t size, std::align_val_t alignment,
+                   const std::nothrow_t&) noexcept {
+  return Allocate(size, static_cast<std::size_t>(alignment), true);
+}
+void* operator new[](std::size_t size, std::align_val_t alignment,
+                     const std::nothrow_t&) noexcept {
+  return Allocate(size, static_cast<std::size_t>(alignment), true);
+}
+void operator delete(void* block) noexcept { std::free(block); }
+void operator delete[](void* block) noexcept { std::free(block); }
+void operator delete(void* block, std::size_t) noexcept { std::free(block); }
+void operator delete[](void* block, std::size_t) noexcept { std::free(block); }
+void operator delete(void* block, const std::nothrow_t&) noexcept {
+  std::free(block);
+}
+void operator delete[](void* block, const std::nothrow_t&) noexcept {
+  std::free(block);
+}
+void operator delete(void* block, std::align_val_t) noexcept {
+  std::free(block);
+}
+void operator delete[](void* block, std::align_val_t) noexcept {
+  std::free(block);
+}
+void operator delete(void* block, std::size_t, std::align_val_t) noexcept {
+  std::free(block);
+}
+void operator delete[](void* block, std::size_t, std::align_val_t) noexcept {
+  std::free(block);
+}
+void operator delete(void* block, std::align_val_t,
+                     const std::nothrow_t&) noexcept {
+  std::free(block);
+}
+void operator delete[](void* block, std::align_val_t,
+                       const std::nothrow_t&) noexcept {
+  std::free(block);
+}
 
 namespace touch {
 namespace {
@@ -142,6 +230,8 @@ TEST_P(TouchParallelTest, EveryLocalJoinStrategyKeepsTheSequence) {
   }
 }
 
+// TouchOptions::threads is capped at the host's cores; the TestHelpers
+// tests below run eight runners on any host.
 INSTANTIATE_TEST_SUITE_P(ThreadCounts, TouchParallelTest,
                          ::testing::Values(1, 2, 4, 8));
 
@@ -291,6 +381,112 @@ TEST(TouchParallelEdgeTest, JoinNestedInsideEmitLeavesTheOuterJoinIntact) {
   options.threads = 1;
   EXPECT_EQ(out.outer_, RunInOrder(options, items, rods).sequence);
   EXPECT_EQ(out.inner_, OracleJoin(small_a, small_b));
+}
+
+// Helpers on threads of the test's own, as many as asked for whatever the
+// host's core count (TouchOptions::threads is capped at it). `wait` runs
+// each loop's helpers to the end inside Offer, before the caller claims a
+// morsel: they take every morsel but the ones they fail on.
+// `fail_first_allocation` makes each helper's first allocation throw.
+class TestHelpers final : public MorselHelpers {
+ public:
+  TestHelpers(int threads, bool wait, bool fail_first_allocation)
+      : threads_(threads), wait_(wait), fail_(fail_first_allocation) {}
+  ~TestHelpers() override { JoinAll(); }
+  TestHelpers(const TestHelpers&) = delete;
+  TestHelpers& operator=(const TestHelpers&) = delete;
+
+  int Offer(int max_helpers, const std::function<void()>& help) override {
+    JoinAll();
+    const int count = std::min(max_helpers, threads_);
+    for (int i = 0; i < count; ++i) {
+      running_.emplace_back([help, fail = fail_] {
+        fail_next_allocation = fail;
+        help();
+        fail_next_allocation = false;
+      });
+    }
+    if (wait_) JoinAll();
+    return count;
+  }
+
+ private:
+  void JoinAll() {
+    for (std::thread& thread : running_) thread.join();
+    running_.clear();
+  }
+
+  const int threads_;
+  const bool wait_;
+  const bool fail_;
+  std::vector<std::thread> running_;
+};
+
+// The dominant-node inputs joined over a prebuilt tree with `helpers`.
+class PrebuiltTreeJoin {
+ public:
+  PrebuiltTreeJoin()
+      : items_(ScatteredItems(20000, 117)),
+        rods_(RodsAlongX(1500, 118)),
+        tree_(items_, (items_.size() + TouchOptions{}.partitions - 1) /
+                          TouchOptions{}.partitions,
+              TouchOptions{}.fanout) {}
+
+  Emitted Run(MorselHelpers* helpers) const {
+    TouchJoin join;
+    VectorCollector out;
+    Emitted emitted;
+    emitted.stats = join.JoinWithPrebuiltTree(tree_, items_, rods_, out, 0.0f,
+                                              CancellationToken(), helpers);
+    emitted.sequence = out.pairs();
+    return emitted;
+  }
+
+ private:
+  Dataset items_;
+  Dataset rods_;
+  TouchTree tree_;
+};
+
+TEST(TouchMorselHelpersTest, EightRunnersKeepTheSequence) {
+  const PrebuiltTreeJoin join;
+  const Emitted single = join.Run(nullptr);
+  ASSERT_FALSE(single.sequence.empty());
+  EXPECT_EQ(single.stats.helper_seconds, 0.0);
+  TestHelpers helpers(/*threads=*/7, /*wait=*/false,
+                      /*fail_first_allocation=*/false);
+  const Emitted many = join.Run(&helpers);
+  EXPECT_EQ(many.sequence, single.sequence);
+  EXPECT_EQ(many.stats.comparisons, single.stats.comparisons);
+  EXPECT_EQ(many.stats.node_comparisons, single.stats.node_comparisons);
+  EXPECT_EQ(many.stats.filtered, single.stats.filtered);
+  EXPECT_EQ(many.stats.results, single.stats.results);
+}
+
+TEST(TouchMorselHelpersTest, HelperSecondsCountTheHelpersWork) {
+  const PrebuiltTreeJoin join;
+  const Emitted single = join.Run(nullptr);
+  // The helper runs every morsel before the caller claims one, so the
+  // caller never waits and all the morsel time is the helper's.
+  TestHelpers helpers(/*threads=*/1, /*wait=*/true,
+                      /*fail_first_allocation=*/false);
+  const Emitted helped = join.Run(&helpers);
+  EXPECT_EQ(helped.sequence, single.sequence);
+  EXPECT_GT(helped.stats.helper_seconds, 0.0);
+}
+
+TEST(TouchMorselHelpersTest, HelperFailureIsRethrownByTheCaller) {
+  const PrebuiltTreeJoin join;
+  // The helper fails its first morsel that allocates and leaves; the
+  // caller runs the rest. The failed morsel's pairs are missing, so the
+  // join must throw rather than return a short result.
+  TestHelpers helpers(/*threads=*/1, /*wait=*/true,
+                      /*fail_first_allocation=*/true);
+  EXPECT_THROW(join.Run(&helpers), std::bad_alloc);
+  // The failed join released this thread's scratch: the next one is whole.
+  TestHelpers healthy(/*threads=*/1, /*wait=*/true,
+                      /*fail_first_allocation=*/false);
+  EXPECT_EQ(join.Run(&healthy).sequence, join.Run(nullptr).sequence);
 }
 
 }  // namespace
