@@ -123,7 +123,9 @@ class IdBuckets {
   }
 
   // Bytes held, including capacity left over from earlier builds.
-  size_t CapacityBytes() const { return VectorBytes(begin_) + VectorBytes(ids_); }
+  size_t CapacityBytes() const {
+    return VectorBytes(begin_) + VectorBytes(ids_);
+  }
 
  private:
   // size_t: a grid of huge boxes can hold more than 2^32 copies, which
@@ -171,14 +173,30 @@ struct LocalJoinScratch {
       }
       if (total <= budget) return;
       switch (largest) {
-        case 0: cells = IdBuckets(); break;
-        case 1: descent_stack = {}; break;
-        case 2: hits = {}; break;
-        case 3: child_mbr_slab = BoxSlab(); break;
-        case 4: item_slab = BoxSlab(); break;
-        case 5: probe_slab = BoxSlab(); break;
-        case 6: assigned_node = {}; break;
-        default: entities = IdBuckets(); break;
+        case 0:
+          cells = IdBuckets();
+          break;
+        case 1:
+          descent_stack = {};
+          break;
+        case 2:
+          hits = {};
+          break;
+        case 3:
+          child_mbr_slab = BoxSlab();
+          break;
+        case 4:
+          item_slab = BoxSlab();
+          break;
+        case 5:
+          probe_slab = BoxSlab();
+          break;
+        case 6:
+          assigned_node = {};
+          break;
+        default:
+          entities = IdBuckets();
+          break;
       }
     }
   }

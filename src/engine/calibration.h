@@ -48,7 +48,9 @@ struct PlanOutcome {
   /// and prediction.
   double estimated_results = 0;
   double build_seconds = 0;
-  /// Assignment plus join phases (everything after the build).
+  /// Assignment plus join phases (everything after the build). Both this
+  /// and total_seconds are single-runner times: a TOUCH run that borrowed
+  /// idle workers counts the work they did (JoinStats::helper_seconds).
   double probe_seconds = 0;
   double total_seconds = 0;
 };

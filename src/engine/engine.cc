@@ -600,14 +600,14 @@ void QueryEngine::RecordOutcome(const JoinRequest& request,
                         options_.planner.estimator_resolution)
           .expected_results;
   outcome.build_seconds = result.stats.build_seconds;
-  // Single-runner time: how many idle workers helped a TOUCH request
+  // Single-runner times: how many idle workers helped a TOUCH request
   // depends on the load at that moment, and the other families never get
-  // helpers, so wall time alone would make TOUCH look cheap when the pool
-  // happened to be idle.
-  outcome.probe_seconds = result.stats.assign_seconds +
-                          result.stats.join_seconds +
-                          result.stats.helper_seconds;
-  outcome.total_seconds = result.stats.total_seconds;
+  // helpers, so wall time alone would make TOUCH look cheap whenever the
+  // pool happened to be idle.
+  const double helped = result.stats.helper_seconds;
+  outcome.probe_seconds =
+      result.stats.assign_seconds + result.stats.join_seconds + helped;
+  outcome.total_seconds = result.stats.total_seconds + helped;
   feedback_.Record(outcome);
 }
 

@@ -419,6 +419,33 @@ TEST_F(MorselHelperTest, LoneRequestBorrowsIdleWorkersAndKeepsTheSequence) {
   EXPECT_GE(most_helpers, 1);
 }
 
+TEST_F(MorselHelperTest, CalibrationRecordsSingleRunnerSeconds) {
+  EngineOptions options;
+  options.threads = 4;
+  QueryEngine engine(options);
+  ASSERT_TRUE(options.calibration.enabled);
+  const JoinRequest request{engine.RegisterDataset("a", a_),
+                            engine.RegisterDataset("b", b_), 2.0f};
+  CountingCollector out;
+  const JoinResult result =
+      engine
+          .SubmitPlanned(TouchPlan(engine, request), request,
+                         std::make_unique<ForwardingSink>(out))
+          .Get();
+  ASSERT_TRUE(result.ok()) << result.error;
+  // The first run builds the tree, so it is cold and recorded.
+  ASSERT_FALSE(result.index_cache_hit);
+  const std::vector<PlanOutcome> outcomes = engine.feedback().RecentOutcomes();
+  ASSERT_EQ(outcomes.size(), 1u);
+  // Whatever the idle workers took off the request's worker is added back.
+  const double helped = result.stats.helper_seconds;
+  EXPECT_GE(helped, 0.0);
+  EXPECT_EQ(outcomes[0].family, "touch");
+  EXPECT_EQ(outcomes[0].total_seconds, result.stats.total_seconds + helped);
+  EXPECT_EQ(outcomes[0].probe_seconds, result.stats.assign_seconds +
+                                           result.stats.join_seconds + helped);
+}
+
 TEST_F(MorselHelperTest, SaturatedPoolRunsEveryMorselOnTheCaller) {
   EngineOptions options;
   options.threads = 1;
