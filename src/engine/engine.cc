@@ -1246,10 +1246,11 @@ JoinResult QueryEngine::ExecuteTouch(JoinPlan plan, const JoinRequest& request,
       entry->boxes.empty() ? std::span<const Box>(build_src)
                            : std::span<const Box>(entry->boxes);
   TouchJoin join(touch_options);
-  PoolHelpers helpers(pool_);
+  PoolHelpers pool_helpers(pool_);
+  MorselHelpers* helpers = plan.borrow_idle_workers ? &pool_helpers : nullptr;
   if (plan.build_on_a) {
     result.stats = join.JoinWithPrebuiltTree(entry->tree, tree_boxes, b, out,
-                                             0.0f, ctx.cancel, &helpers);
+                                             0.0f, ctx.cancel, helpers);
   } else {
     // The tree was built raw over B, so side A carries the distance-join
     // enlargement — applied on the fly per probe box (as the cached INL
@@ -1257,7 +1258,7 @@ JoinResult QueryEngine::ExecuteTouch(JoinPlan plan, const JoinRequest& request,
     SwappedCollector swapped(out);
     result.stats = join.JoinWithPrebuiltTree(entry->tree, tree_boxes, a,
                                              swapped, request.epsilon,
-                                             ctx.cancel, &helpers);
+                                             ctx.cancel, helpers);
   }
   exec_span.End();
   metrics_->histogram("touch_engine_execute_seconds")

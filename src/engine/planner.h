@@ -50,6 +50,10 @@ struct JoinPlan {
   bool build_on_a = true;
   /// Fully resolved TOUCH configuration (meaningful when algorithm=="touch").
   TouchOptions touch;
+  /// Whether a TOUCH run may borrow the engine pool's idle workers for its
+  /// morsels. ShardedQueryEngine clears it on its pair plans: the pairs of
+  /// one request already run side by side on the pool.
+  bool borrow_idle_workers = true;
   /// Planner's cost-model outputs (0 when planning skipped estimation).
   double expected_results = 0;
   double expected_selectivity = 0;

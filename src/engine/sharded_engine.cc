@@ -369,6 +369,12 @@ ShardedRequestHandle ShardedQueryEngine::Submit(
                         snapshot.has_value() ? &*snapshot : nullptr);
       plan_span.AddAttr("algorithm", plan.algorithm);
       plan_span.End();
+      // A pair runs on one worker: the pairs already spread the request
+      // over the pool. Lending them the moments a worker sat idle between
+      // pairs put helpers on most TOUCH pairs even with four requests in
+      // flight (perfbench sharded-serve), and throughput then swung from
+      // run to run with how contended the host was.
+      plan.borrow_idle_workers = false;
       JoinRequest pair_request;
       pair_request.a = entry_a.shards[i].engine_handle;
       pair_request.b = entry_b.shards[j].engine_handle;

@@ -418,6 +418,36 @@ TEST(ShardedEngineTest, SinkReceivesGlobalIdsAndOneCompletion) {
   EXPECT_EQ(emitted, expected);
 }
 
+TEST(ShardedEngineTest, TouchPairsRunWithoutBorrowedWorkers) {
+  // Every pair plans TOUCH on a pool wide enough to lend helpers to the
+  // last pair left running; pairs of a sharded request never borrow.
+  EngineOptions options;
+  options.threads = 4;
+  options.shards = 2;
+  options.planner.nested_loop_max = 0;
+  options.planner.plane_sweep_max = 0;
+  options.planner.pbsm_skew_max = -1.0;
+  ShardedQueryEngine engine(options);
+  const JoinRequest request{
+      engine.RegisterDataset(
+          "A", GenerateSynthetic(Distribution::kClustered, 30000, 53)),
+      engine.RegisterDataset(
+          "B", GenerateSynthetic(Distribution::kClustered, 60000, 54)),
+      2.0f};
+  for (int round = 0; round < 3; ++round) {
+    engine.engine().ClearIndexCache();
+    CountingCollector out;
+    const ShardedJoinResult result = engine.Execute(request, out);
+    ASSERT_TRUE(result.merged.ok()) << result.merged.error;
+    ASSERT_TRUE(AnyPairPlanned(result, "touch"));
+    for (const ShardPairReport& pair : result.pairs) {
+      EXPECT_FALSE(pair.plan.borrow_idle_workers);
+      EXPECT_EQ(pair.stats.helper_seconds, 0.0)
+          << "pair " << pair.shard_a << "x" << pair.shard_b;
+    }
+  }
+}
+
 TEST(ShardedEngineTest, MergedTelemetryAggregatesPairs) {
   EngineOptions options;
   options.shards = 2;
