@@ -1,14 +1,11 @@
 #include "core/touch.h"
 
 #include <algorithm>
-#include <atomic>
 #include <climits>
 #include <cmath>
-#include <exception>
 #include <functional>
 #include <memory>
 #include <optional>
-#include <ranges>
 #include <string>
 #include <system_error>
 #include <thread>
@@ -16,11 +13,11 @@
 #include <vector>
 
 #include "core/overlap_kernel.h"
+#include "core/touch_scratch.h"
 #include "geom/grid.h"
 #include "obs/trace.h"
 #include "util/format.h"
 #include "util/memory.h"
-#include "util/thread_annotations.h"
 #include "util/timer.h"
 
 namespace touch {
@@ -33,6 +30,9 @@ namespace {
 constexpr uint32_t kProbesPerMorsel = 16384;
 constexpr uint32_t kItemsPerMorsel = 4096;
 constexpr uint32_t kEntitiesPerMorsel = 512;
+// X-parts of a split node's grid, each one scatter morsel: enough to keep
+// every runner busy when the entities crowd a few x-slabs.
+constexpr int kScatterParts = 16;
 
 constexpr uint32_t kNoNode = UINT32_MAX;
 
@@ -78,165 +78,6 @@ void NodeGridResolution(const Box& node_mbr, const Vec3& min_cell_edge,
   }
 }
 
-// Id lists of many buckets in compressed rows: bucket k's ids are
-// ids_[begin_[k], begin_[k + 1]), in insertion order. Built by counting, so
-// it holds one offset per bucket and one id per entry — and, reused across
-// joins, its two arrays stop growing at the largest build they served,
-// where a vector per bucket would keep the longest list any build ever
-// left in it. Serves as a node's grid (buckets = cells) and as the
-// per-node entity lists (buckets = tree nodes).
-class IdBuckets {
- public:
-  // `for_each_bucket(id, visit)` calls visit(bucket) for every bucket `id`
-  // goes into, if any.
-  template <typename Ids, typename ForEachBucket>
-  void Build(uint64_t buckets, const Ids& ids,
-             const ForEachBucket& for_each_bucket) {
-    begin_.assign(buckets + 1, 0);
-    for (const uint32_t id : ids) {
-      for_each_bucket(id, [&](uint64_t bucket) { ++begin_[bucket + 1]; });
-    }
-    for (uint64_t bucket = 1; bucket <= buckets; ++bucket) {
-      begin_[bucket] += begin_[bucket - 1];
-    }
-    ids_.resize(begin_[buckets]);
-    for (const uint32_t id : ids) {
-      for_each_bucket(id,
-                      [&](uint64_t bucket) { ids_[begin_[bucket]++] = id; });
-    }
-    // The fill advanced every begin to the next bucket's; shift them back.
-    for (uint64_t bucket = buckets; bucket > 0; --bucket) {
-      begin_[bucket] = begin_[bucket - 1];
-    }
-    begin_[0] = 0;
-  }
-
-  std::span<const uint32_t> operator[](uint64_t bucket) const {
-    return std::span<const uint32_t>(ids_).subspan(
-        begin_[bucket], begin_[bucket + 1] - begin_[bucket]);
-  }
-
-  // Analytic footprint of the current build (sizes, not the capacity left
-  // over from earlier builds).
-  size_t Bytes() const {
-    return begin_.size() * sizeof(size_t) + ids_.size() * sizeof(uint32_t);
-  }
-
-  // Bytes held, including capacity left over from earlier builds.
-  size_t CapacityBytes() const {
-    return VectorBytes(begin_) + VectorBytes(ids_);
-  }
-
- private:
-  // size_t: a grid of huge boxes can hold more than 2^32 copies, which
-  // must fail to allocate rather than wrap.
-  std::vector<size_t> begin_;
-  std::vector<uint32_t> ids_;
-};
-
-// Bytes of scratch a thread keeps between joins. A join grows its scratch
-// as far as it needs; when it returns, the largest arrays are released
-// until the rest fits. So every thread that ever joined (engine workers,
-// library callers) holds at most this much, whatever the largest join it
-// ran — enough for a 2^18-cell grid plus the slabs of a join of about
-// 200k objects, which then reuse their arrays from join to join.
-constexpr size_t kRetainedScratchBytes = size_t{16} << 20;
-
-// Working state of one runner. The calling thread's also holds the join's
-// shared arrays, which every runner reads: the slabs, the assignment and
-// per-node entity lists, and a split node's grid (`cells`).
-struct LocalJoinScratch {
-  IdBuckets cells;
-  std::vector<uint32_t> descent_stack;
-  std::vector<uint32_t> hits;
-  BoxSlab child_mbr_slab;
-  BoxSlab item_slab;
-  BoxSlab probe_slab;
-  std::vector<uint32_t> assigned_node;
-  IdBuckets entities;
-
-  // Releases the largest arrays until the rest holds at most `budget`
-  // bytes. Allocates nothing.
-  void Trim(size_t budget) {
-    constexpr int kArrays = 8;
-    for (int released = 0; released < kArrays; ++released) {
-      const size_t bytes[kArrays] = {
-          cells.CapacityBytes(),          VectorBytes(descent_stack),
-          VectorBytes(hits),              child_mbr_slab.MemoryUsageBytes(),
-          item_slab.MemoryUsageBytes(),   probe_slab.MemoryUsageBytes(),
-          VectorBytes(assigned_node),     entities.CapacityBytes()};
-      size_t total = 0;
-      int largest = 0;
-      for (int i = 0; i < kArrays; ++i) {
-        total += bytes[i];
-        if (bytes[i] > bytes[largest]) largest = i;
-      }
-      if (total <= budget) return;
-      switch (largest) {
-        case 0:
-          cells = IdBuckets();
-          break;
-        case 1:
-          descent_stack = {};
-          break;
-        case 2:
-          hits = {};
-          break;
-        case 3:
-          child_mbr_slab = BoxSlab();
-          break;
-        case 4:
-          item_slab = BoxSlab();
-          break;
-        case 5:
-          probe_slab = BoxSlab();
-          break;
-        case 6:
-          assigned_node = {};
-          break;
-        default:
-          entities = IdBuckets();
-          break;
-      }
-    }
-  }
-};
-
-// One scratch per thread, reused across joins: its arrays grow to the
-// largest join a thread has run once, not once per join, and are trimmed
-// to kRetainedScratchBytes when the lease ends. A join nested on a thread
-// that already holds the scratch (a sink joining inside Emit) gets a
-// private one instead of clobbering a grid helpers may be reading.
-class ScratchLease {
- public:
-  ScratchLease() {
-    thread_local LocalJoinScratch scratch;
-    thread_local bool leased = false;
-    if (!leased) {
-      leased = true;
-      leased_ = &leased;
-      scratch_ = &scratch;
-    } else {
-      owned_ = std::make_unique<LocalJoinScratch>();
-      scratch_ = owned_.get();
-    }
-  }
-  ~ScratchLease() {
-    if (leased_ == nullptr) return;
-    scratch_->Trim(kRetainedScratchBytes);
-    *leased_ = false;
-  }
-  ScratchLease(const ScratchLease&) = delete;
-  ScratchLease& operator=(const ScratchLease&) = delete;
-
-  LocalJoinScratch& get() { return *scratch_; }
-
- private:
-  bool* leased_ = nullptr;
-  LocalJoinScratch* scratch_ = nullptr;
-  std::unique_ptr<LocalJoinScratch> owned_;
-};
-
 // Helpers on threads of their own, spawned per offer and joined by the
 // next offer or the destructor: the runners behind TouchOptions::threads.
 class ThreadHelpers final : public MorselHelpers {
@@ -245,6 +86,8 @@ class ThreadHelpers final : public MorselHelpers {
   ~ThreadHelpers() override { JoinAll(); }
   ThreadHelpers(const ThreadHelpers&) = delete;
   ThreadHelpers& operator=(const ThreadHelpers&) = delete;
+
+  int Idle() const override { return max_threads_; }
 
   int Offer(int max_helpers, const std::function<void()>& help) override {
     // The previous loop's helpers have nothing left to claim; joining them
@@ -272,198 +115,38 @@ class ThreadHelpers final : public MorselHelpers {
   std::vector<std::thread> threads_;
 };
 
-// Runs morsel `index` on a runner's scratch; `direct` is true when the
-// calling thread runs the whole loop alone and may emit straight into the
-// sink.
-using MorselRun = std::function<void(size_t index, LocalJoinScratch& scratch,
-                                     bool direct)>;
-
-// Claim state of one morsel loop, shared by the calling thread and its
-// helpers. Helpers hold it through a shared_ptr: a helper that starts after
-// every morsel is claimed reads `next`, leaves, and never touches the
-// caller's stack — `run` is only invoked under a claim the caller is still
-// waiting for.
-struct MorselClaims {
-  MorselClaims(size_t morsels, MorselRun body, std::function<bool()> yield_fn,
-               CancellationToken token)
-      : count(morsels),
-        run(std::move(body)),
-        yield(std::move(yield_fn)),
-        done(std::make_unique<std::atomic<bool>[]>(morsels)) {
-    cancel = std::move(token);
-  }
-
-  const size_t count;
-  const MorselRun run;
-  const std::function<bool()> yield;
-  CancellationToken cancel;  // set once, before any helper is offered
-  std::atomic<size_t> next{0};
-  const std::unique_ptr<std::atomic<bool>[]> done;
-  std::atomic<int> helpers{0};
-  std::atomic<int64_t> helper_ns{0};  // morsel time spent by helpers
-  Mutex mutex;
-  CondVar finished;
-  // A helper's exception. Set before that helper marks its morsel done, so
-  // whoever sees the morsel done also sees the failure.
-  std::exception_ptr failure GUARDED_BY(mutex);
-};
-
-void HelpMorsels(MorselClaims& claims) {
-  ScratchLease lease;  // taken before claiming: nothing throws under a claim
-  bool ran = false;
-  while (!claims.cancel.stop_requested()) {
-    const size_t index = claims.next.fetch_add(1, std::memory_order_relaxed);
-    if (index >= claims.count) return;
-    if (!ran) {
-      ran = true;
-      claims.helpers.fetch_add(1, std::memory_order_relaxed);
-    }
-    std::exception_ptr failure;
-    Timer morsel;
-    try {
-      claims.run(index, lease.get(), /*direct=*/false);
-    } catch (...) {
-      failure = std::current_exception();
-    }
-    claims.helper_ns.fetch_add(static_cast<int64_t>(morsel.Seconds() * 1e9),
-                               std::memory_order_relaxed);
-    {
-      const MutexLock lock(claims.mutex);
-      if (failure && !claims.failure) claims.failure = failure;
-      claims.done[index].store(true, std::memory_order_release);
-    }
-    claims.finished.NotifyAll();
-    if (failure || (claims.yield && claims.yield())) return;
-  }
+// A loop of `count` morsels that run `body(index, scratch, direct)` on a
+// runner's scratch: the calling thread's `scratch`, or a lease each helper
+// takes on its own thread's. `body` must outlive the loop.
+template <typename Body>
+MorselLoop ScratchLoop(size_t count, LocalJoinScratch& scratch,
+                       const Body& body,
+                       std::function<void(size_t)> finish = {}) {
+  return MorselLoop{
+      .count = count,
+      .run = [&scratch, &body](size_t index,
+                               bool direct) { body(index, scratch, direct); },
+      .helper_scope =
+          [&body](const std::function<void(const MorselRun&)>& stay) {
+            ScratchLease lease;
+            LocalJoinScratch* helper_scratch = &lease.get();
+            // A pointer and a reference: the run fits in std::function's
+            // own storage, so a helper's setup allocates nothing.
+            stay([helper_scratch, &body](size_t index, bool direct) {
+              body(index, *helper_scratch, direct);
+            });
+          },
+      .finish = std::move(finish)};
 }
-
-// What one morsel loop's helpers did.
-struct HelpReport {
-  int helpers = 0;  // helpers that ran at least one morsel
-  // Morsel time the helpers took off the calling thread, less the time it
-  // spent waiting for them: the loop's wall time plus this estimates the
-  // loop on the calling thread alone.
-  double seconds = 0;
-};
-
-// Runs morsels [0, count) on the calling thread and on whatever helpers
-// `helpers` (may be null) lends. `finish(i)` folds morsel i's output into
-// the join on the calling thread, strictly in index order, so the join's
-// output never depends on who ran what. Stops claiming once `cancel` fires;
-// every morsel that did run is still finished. An exception from any
-// runner's morsel or from `finish` is rethrown here, and no morsel from a
-// failed one on is finished. Never returns — or throws — while a helper
-// still runs a morsel.
-HelpReport RunMorsels(MorselHelpers* helpers, size_t count,
-                      LocalJoinScratch& scratch,
-                      const CancellationToken& cancel, const MorselRun& run,
-                      const std::function<void(size_t)>& finish) {
-  std::shared_ptr<MorselClaims> claims;
-  int offered = 0;
-  if (helpers != nullptr && count > 1 && !cancel.stop_requested()) {
-    claims = std::make_shared<MorselClaims>(count, run, helpers->YieldSignal(),
-                                            cancel);
-    offered = helpers->Offer(
-        static_cast<int>(std::min<size_t>(count - 1, INT_MAX)),
-        [claims] { HelpMorsels(*claims); });
-  }
-  if (offered == 0) {
-    for (size_t i = 0; i < count && !cancel.stop_requested(); ++i) {
-      run(i, scratch, /*direct=*/true);
-      finish(i);
-    }
-    return {};
-  }
-
-  MorselClaims& shared = *claims;
-  const auto helper_failure = [&shared] {
-    const MutexLock lock(shared.mutex);
-    return shared.failure;
-  };
-  size_t finished = 0;
-  size_t current = count;  // the morsel this thread is running, if any
-  std::exception_ptr failure;
-  try {
-    while (!cancel.stop_requested()) {
-      current = shared.next.fetch_add(1, std::memory_order_relaxed);
-      if (current >= count) break;
-      run(current, scratch, /*direct=*/false);
-      shared.done[current].store(true, std::memory_order_release);
-      current = count;
-      while (finished < count &&
-             shared.done[finished].load(std::memory_order_acquire)) {
-        // A morsel a helper failed on is done but left no output.
-        if (std::exception_ptr helper = helper_failure()) {
-          std::rethrow_exception(helper);
-        }
-        finish(finished++);
-      }
-    }
-  } catch (...) {
-    failure = std::current_exception();
-    if (current < count) {
-      shared.done[current].store(true, std::memory_order_release);
-    }
-  }
-  // Close the loop (a later claim sees the end) and wait out the morsels
-  // helpers still hold — claims form the prefix [0, claimed) — finishing
-  // them in order as they land.
-  const size_t claimed =
-      std::min(shared.next.exchange(count, std::memory_order_relaxed), count);
-  double waited = 0;
-  for (size_t i = finished; i < claimed; ++i) {
-    {
-      MutexLock lock(shared.mutex);
-      if (!shared.done[i].load(std::memory_order_acquire)) {
-        Timer wait;
-        while (!shared.done[i].load(std::memory_order_acquire)) {
-          shared.finished.Wait(lock);
-        }
-        waited += wait.Seconds();
-      }
-      if (!failure) failure = shared.failure;
-    }
-    if (!failure) {
-      try {
-        finish(i);
-      } catch (...) {
-        failure = std::current_exception();
-      }
-    }
-  }
-  // Every claimed morsel is done now: a helper that failed has recorded it.
-  if (!failure) failure = helper_failure();
-  if (failure) std::rethrow_exception(failure);
-  HelpReport report;
-  report.helpers = shared.helpers.load(std::memory_order_relaxed);
-  const double helped =
-      static_cast<double>(shared.helper_ns.load(std::memory_order_relaxed)) *
-      1e-9;
-  report.seconds = std::max(0.0, helped - waited);
-  return report;
-}
-
-// One phase's morsel figures, reported on its span.
-struct MorselReport {
-  size_t morsels = 0;
-  int helpers = 0;  // most helpers in any one loop of the phase
-  double max_morsel_ms = 0;
-
-  void Annotate(SpanScope& span) const {
-    if (!span.active()) return;
-    span.AddAttr("morsels", std::to_string(morsels));
-    span.AddAttr("helpers", std::to_string(helpers));
-    span.AddAttr("max_morsel_ms", StrFormat("%.3f", max_morsel_ms));
-  }
-};
 
 // Output of one morsel, folded into the join by the calling thread.
 struct MorselOutput {
   JoinStats stats;
   // Pairs in (a, b) order, buffered while helpers may be running.
   std::vector<std::pair<uint32_t, uint32_t>> pairs;
+  // (node, entities) an assignment morsel placed.
+  std::vector<std::pair<uint32_t, uint32_t>> node_counts;
   size_t grid_bytes = 0;
-  double ms = 0;
 };
 
 }  // namespace
@@ -556,7 +239,10 @@ JoinStats TouchJoin::JoinOriented(std::span<const Box> build,
       const size_t partitions = std::max<size_t>(1, options_.partitions);
       leaf_capacity = (build.size() + partitions - 1) / partitions;
     }
-    owned_tree.emplace(build, leaf_capacity, options_.fanout);
+    MorselReport build_report;
+    owned_tree.emplace(build, leaf_capacity, options_.fanout, helpers,
+                       &build_report);
+    stats.build_helper_seconds = build_report.helper_seconds;
   }
   const TouchTree& tree = prebuilt != nullptr ? *prebuilt : *owned_tree;
   stats.build_seconds = prebuilt != nullptr ? 0.0 : phase.Seconds();
@@ -575,17 +261,26 @@ JoinStats TouchJoin::JoinOriented(std::span<const Box> build,
   BoxSlab& child_mbr_slab = scratch.child_mbr_slab;
   child_mbr_slab.AssignGenerated(
       child_ids.size(), [&](size_t i) { return nodes[child_ids[i]].mbr; });
-  // Morsels of consecutive probe ids record each object's node here; the
-  // per-node entity lists are then laid out in probe-id order, exactly the
-  // order a single runner appends them in.
+  // Morsels of consecutive probe ids record each object's node here and
+  // count the objects per node as they place them; the per-node entity
+  // lists are then laid out in probe-id order, exactly the order a single
+  // runner appends them in.
   std::vector<uint32_t>& assigned_node = scratch.assigned_node;
   assigned_node.assign(probe.size(), kNoNode);
+  IdBuckets& entities = scratch.entities;
+  entities.Reset(nodes.size());
   const auto assign_range = [&](uint32_t begin, uint32_t end,
-                                JoinStats& counts) {
+                                LocalJoinScratch& s, MorselOutput& output) {
+    s.node_counts.Start(nodes.size(), end - begin);
+    const auto place = [&](uint32_t probe_id, uint32_t node) {
+      assigned_node[probe_id] = node;
+      s.node_counts.Add(node);
+    };
+    JoinStats& counts = output.stats;
     for (uint32_t probe_id = begin; probe_id < end; ++probe_id) {
       // Cooperative cancellation, amortized over a power-of-two stride so
       // the check costs one branch on the hot path.
-      if ((probe_id & 2047u) == 0 && cancel.stop_requested()) return;
+      if ((probe_id & 2047u) == 0 && cancel.stop_requested()) break;
       const Box box = ProbeBox(probe_id);
       uint32_t current = tree.root();
       ++counts.node_comparisons;
@@ -606,7 +301,7 @@ JoinStats TouchJoin::JoinOriented(std::span<const Box> build,
             &counts.node_comparisons);
         if (hits >= 2) {
           // Overlaps several children: assign to their parent (this node).
-          assigned_node[probe_id] = current;
+          place(probe_id, current);
           placed = true;
           break;
         }
@@ -621,43 +316,56 @@ JoinStats TouchJoin::JoinOriented(std::span<const Box> build,
       }
       if (!placed) {
         // Reached a leaf: assign to the leaf (lowest possible placement).
-        assigned_node[probe_id] = current;
+        place(probe_id, current);
       }
+    }
+    // Every placed object is counted, even when a cancel cut the range
+    // short: the layout below relies on it.
+    output.node_counts.reserve(s.node_counts.Nodes().size());
+    for (const uint32_t node : s.node_counts.Nodes()) {
+      output.node_counts.emplace_back(node, s.node_counts.Count(node));
     }
   };
   const uint32_t probe_count = static_cast<uint32_t>(probe.size());
-  MorselReport assign_report;
-  assign_report.morsels =
+  const size_t assign_morsels =
       (probe.size() + kProbesPerMorsel - 1) / kProbesPerMorsel;
-  std::vector<MorselOutput> assign_out(assign_report.morsels);
-  const HelpReport assign_help = RunMorsels(
-      helpers, assign_report.morsels, scratch, cancel,
-      [&](size_t index, LocalJoinScratch&, bool) {
-        MorselOutput output;  // stack-local, like the local join's below
-        Timer morsel;
-        const uint32_t begin = static_cast<uint32_t>(index) * kProbesPerMorsel;
-        assign_range(begin, std::min(begin + kProbesPerMorsel, probe_count),
-                     output.stats);
-        output.ms = morsel.Seconds() * 1e3;
-        assign_out[index] = std::move(output);
-      },
-      [&](size_t index) {
-        stats.MergeCounters(assign_out[index].stats);
-        assign_report.max_morsel_ms =
-            std::max(assign_report.max_morsel_ms, assign_out[index].ms);
-      });
-  assign_report.helpers = assign_help.helpers;
-  stats.helper_seconds = assign_help.seconds;
-  IdBuckets& entities = scratch.entities;
-  entities.Build(nodes.size(), std::views::iota(uint32_t{0}, probe_count),
-                 [&](uint32_t probe_id, auto&& visit) {
-                   if (assigned_node[probe_id] != kNoNode) {
-                     visit(assigned_node[probe_id]);
-                   }
-                 });
+  std::vector<MorselOutput> assign_out(assign_morsels);
+  const auto assign_morsel = [&](size_t index, LocalJoinScratch& s, bool) {
+    MorselOutput output;  // stack-local, like the local join's below
+    const uint32_t begin = static_cast<uint32_t>(index) * kProbesPerMorsel;
+    assign_range(begin, std::min(begin + kProbesPerMorsel, probe_count), s,
+                 output);
+    assign_out[index] = std::move(output);
+  };
+  MorselReport assign_report;
+  RunMorsels(helpers, cancel,
+             ScratchLoop(assign_morsels, scratch, assign_morsel,
+                         [&](size_t index) {
+                           MorselOutput& output = assign_out[index];
+                           stats.MergeCounters(output.stats);
+                           for (const auto& [node, count] :
+                                output.node_counts) {
+                             entities.Count(node, count);
+                           }
+                         }),
+             assign_report);
+  stats.helper_seconds = assign_report.helper_seconds;
+  // Backwards, so each node's list ends up in probe-id order.
+  entities.Layout();
+  for (uint32_t probe_id = probe_count; probe_id-- > 0;) {
+    if ((probe_id & 4095u) == 0 && cancel.stop_requested()) break;
+    if (assigned_node[probe_id] != kNoNode) {
+      entities.Place(assigned_node[probe_id], probe_id);
+    }
+  }
   stats.assign_seconds = phase.Seconds();
   assign_report.Annotate(assign_span);
   assign_span.End();
+  if (cancel.stop_requested()) {
+    // The entity lists may be partial: no local join reads them.
+    stats.total_seconds = total.Seconds();
+    return stats;
+  }
 
   // ---- Phase 3: per-node local join (Algorithm 4). ----
   phase.Reset();
@@ -724,38 +432,140 @@ JoinStats TouchJoin::JoinOriented(std::span<const Box> build,
     }
   };
 
-  // Equi-width grid over one node's region with the node's B entities
-  // scattered into the cells they overlap (into `cells`, which holds the
-  // occupants); `bytes` is the grid's analytic footprint.
+  // Equi-width grid over one node's region; its cells (an IdBuckets)
+  // hold the node's B entities, each in every cell it overlaps, in entity
+  // order. `bytes` is the grid's analytic footprint.
   struct NodeGrid {
     GridMapper mapper;
     uint64_t stride_x;
     uint64_t stride_y;
     size_t bytes;
   };
-  const auto scatter = [&](uint32_t node_id, IdBuckets& cells) {
+  const auto node_grid = [&](uint32_t node_id) {
     int res[3];
     NodeGridResolution(nodes[node_id].mbr, min_cell_edge,
                        options_.grid_resolution,
                        /*max_total_cells=*/uint64_t{1} << 18, res);
     const uint64_t stride_y = static_cast<uint64_t>(res[2]);
-    NodeGrid grid{GridMapper(nodes[node_id].mbr, res[0], res[1], res[2]),
-                  stride_y * static_cast<uint64_t>(res[1]), stride_y, 0};
+    return NodeGrid{GridMapper(nodes[node_id].mbr, res[0], res[1], res[2]),
+                    stride_y * static_cast<uint64_t>(res[1]), stride_y, 0};
+  };
+  // Calls visit(cell) for every cell of `range` whose x lies in
+  // [x_lo, x_hi].
+  const auto for_each_cell = [](const NodeGrid& grid, const CellRange& range,
+                                int x_lo, int x_hi, auto&& visit) {
+    for (int x = x_lo; x <= x_hi; ++x) {
+      for (int y = range.lo.y; y <= range.hi.y; ++y) {
+        const uint64_t base = static_cast<uint64_t>(x) * grid.stride_x +
+                              static_cast<uint64_t>(y) * grid.stride_y;
+        for (int z = range.lo.z; z <= range.hi.z; ++z) {
+          visit(base + static_cast<uint64_t>(z));
+        }
+      }
+    }
+  };
+  // A node's grid scattered by one runner, into its own `cells`.
+  const auto scatter = [&](uint32_t node_id, IdBuckets& cells) {
+    NodeGrid grid = node_grid(node_id);
     cells.Build(grid.mapper.TotalCells(), entities[node_id],
                 [&](uint32_t probe_id, auto&& visit) {
                   const CellRange range =
                       grid.mapper.RangeOf(probe_slab.BoxAt(probe_id));
-                  for (int x = range.lo.x; x <= range.hi.x; ++x) {
-                    for (int y = range.lo.y; y <= range.hi.y; ++y) {
-                      const uint64_t base =
-                          static_cast<uint64_t>(x) * grid.stride_x +
-                          static_cast<uint64_t>(y) * grid.stride_y;
-                      for (int z = range.lo.z; z <= range.hi.z; ++z) {
-                        visit(base + static_cast<uint64_t>(z));
-                      }
-                    }
-                  }
+                  for_each_cell(grid, range, range.lo.x, range.hi.x, visit);
                 });
+    grid.bytes = cells.Bytes();
+    return grid;
+  };
+
+  // A split node's grid, scattered into the calling thread's cells by
+  // every runner. The x-slabs of cells are cut into parts: a part's cells
+  // are one contiguous range of cell ids, and it counts, then fills, only
+  // those, walking its entities in entity order — so every cell lists its
+  // entities as a single runner's scatter does. Only bucketing the
+  // entities by part, the prefix sum and sizing the id array run on the
+  // calling thread alone. With no helper idle, the bucketing would buy
+  // nothing, and the calling thread scatters the grid in one pass, as any
+  // unsplit node's. Returns nothing when a cancel cut the scatter short:
+  // the grid may be partial and must not be probed.
+  MorselReport join_report;
+  const auto scatter_shared = [&](uint32_t node_id) -> std::optional<NodeGrid> {
+    if (helpers == nullptr || helpers->Idle() == 0) {
+      return scatter(node_id, scratch.cells);
+    }
+    NodeGrid grid = node_grid(node_id);
+    const std::span<const uint32_t> node_entities = entities[node_id];
+    const int res_x = grid.mapper.res_x();
+    const int parts = std::min(kScatterParts, res_x);
+    // Part p owns x-slabs [first_x(p), first_x(p + 1)); part_of(x) is the
+    // part owning x-slab x.
+    const auto first_x = [&](int part) { return part * res_x / parts; };
+    const auto part_of = [&](int x) { return ((x + 1) * parts - 1) / res_x; };
+    // Calls visit(part) for every part entity i's x-slabs reach.
+    const auto for_each_part = [&](uint32_t i, auto&& visit) {
+      const Box box = probe_slab.BoxAt(node_entities[i]);
+      const int last = part_of(grid.mapper.AxisCell(0, box.hi.x));
+      for (int part = part_of(grid.mapper.AxisCell(0, box.lo.x));
+           part <= last; ++part) {
+        visit(static_cast<uint64_t>(part));
+      }
+    };
+    // Local to the scatter: kept in the scratch, a split node's lists
+    // would stay with every thread that ever ran a join and raise the
+    // process's peak memory.
+    IdBuckets part_entities;
+    part_entities.Reset(static_cast<uint64_t>(parts));
+    for (uint32_t i = 0; i < node_entities.size(); ++i) {
+      if ((i & 4095u) == 0 && cancel.stop_requested()) return std::nullopt;
+      for_each_part(i, [&](uint64_t part) { part_entities.Count(part); });
+    }
+    part_entities.Layout();
+    for (uint32_t i = static_cast<uint32_t>(node_entities.size()); i-- > 0;) {
+      for_each_part(i, [&](uint64_t part) { part_entities.Place(part, i); });
+    }
+    // Calls visit(cell) for every cell of entity i inside `part`.
+    const auto part_cells = [&](uint32_t i, size_t part, auto&& visit) {
+      const CellRange range =
+          grid.mapper.RangeOf(probe_slab.BoxAt(node_entities[i]));
+      const int p = static_cast<int>(part);
+      for_each_cell(grid, range, std::max(range.lo.x, first_x(p)),
+                    std::min(range.hi.x, first_x(p + 1) - 1), visit);
+    };
+    IdBuckets& cells = scratch.cells;
+    cells.Reset(grid.mapper.TotalCells());
+    RunMorsels(helpers, cancel,
+               {.count = static_cast<size_t>(parts),
+                .run =
+                    [&](size_t part, bool) {
+                      const auto members = part_entities[part];
+                      for (size_t k = 0; k < members.size(); ++k) {
+                        if ((k & 1023u) == 0 && cancel.stop_requested()) {
+                          return;
+                        }
+                        part_cells(members[k], part,
+                                   [&](uint64_t cell) { cells.Count(cell); });
+                      }
+                    }},
+               join_report);
+    if (cancel.stop_requested()) return std::nullopt;
+    cells.Layout();
+    RunMorsels(helpers, cancel,
+               {.count = static_cast<size_t>(parts),
+                .run =
+                    [&](size_t part, bool) {
+                      // Backwards, so each cell ends up in entity order.
+                      const auto members = part_entities[part];
+                      for (size_t k = members.size(); k-- > 0;) {
+                        if ((k & 1023u) == 0 && cancel.stop_requested()) {
+                          return;
+                        }
+                        const uint32_t probe_id = node_entities[members[k]];
+                        part_cells(members[k], part, [&](uint64_t cell) {
+                          cells.Place(cell, probe_id);
+                        });
+                      }
+                    }},
+               join_report);
+    if (cancel.stop_requested()) return std::nullopt;
     grid.bytes = cells.Bytes();
     return grid;
   };
@@ -802,8 +612,8 @@ JoinStats TouchJoin::JoinOriented(std::span<const Box> build,
 
   // The local join as morsels, in the order a single runner emits. Grid
   // nodes with more than kItemsPerMorsel items are split by item range
-  // and share one grid the calling thread scatters first; descent nodes
-  // split by entity range; every other node is one morsel.
+  // and share one grid every runner scatters first; descent nodes split by
+  // entity range; every other node is one morsel.
   enum class MorselKind : uint8_t { kGrid, kSharedGrid, kDescent, kWhole };
   struct JoinMorsel {
     uint32_t node;
@@ -897,68 +707,76 @@ JoinStats TouchJoin::JoinOriented(std::span<const Box> build,
   };
 
   std::vector<MorselOutput> join_out(morsels.size());
-  MorselReport join_report;
-  join_report.morsels = morsels.size();
   size_t max_grid_bytes = 0;
+  double scatter_seconds = 0;  // wall time of the split nodes' scatters
   for (const Round& round : rounds) {
     if (cancel.stop_requested()) break;
     if (round.shared_node != kNoNode) {
-      // Scatter once on the calling thread; the round's morsels only read
-      // the grid, from every runner.
-      shared_grid.emplace(scatter(round.shared_node, scratch.cells));
+      // Scatter once with every runner; the round's morsels only read the
+      // grid, from every runner.
+      const Timer scatter_wall;
+      shared_grid = scatter_shared(round.shared_node);
+      scatter_seconds += scatter_wall.Seconds();
+      if (!shared_grid) break;
       max_grid_bytes = std::max(max_grid_bytes, shared_grid->bytes);
     }
-    const HelpReport round_help = RunMorsels(
-        helpers, round.last - round.first, scratch, cancel,
-        [&](size_t index, LocalJoinScratch& s, bool direct) {
-          // Built on this runner's stack and stored once: runners bumping
-          // counters in neighbouring outputs would share cache lines.
-          MorselOutput output;
-          const JoinMorsel& m = morsels[round.first + index];
-          Timer morsel;
-          if (direct) {
-            join_morsel(m, s, output,
-                        [&](uint32_t build_id, uint32_t probe_id) {
-                          ++output.stats.results;
-                          if (swapped) {
-                            out.Emit(probe_id, build_id);
-                          } else {
-                            out.Emit(build_id, probe_id);
-                          }
-                        });
+    const auto round_morsel = [&](size_t index, LocalJoinScratch& s,
+                                  bool direct) {
+      // Built on this runner's stack and stored once: runners bumping
+      // counters in neighbouring outputs would share cache lines.
+      MorselOutput output;
+      const JoinMorsel& m = morsels[round.first + index];
+      if (direct) {
+        join_morsel(m, s, output, [&](uint32_t build_id, uint32_t probe_id) {
+          ++output.stats.results;
+          if (swapped) {
+            out.Emit(probe_id, build_id);
           } else {
-            join_morsel(m, s, output,
-                        [&](uint32_t build_id, uint32_t probe_id) {
-                          ++output.stats.results;
-                          if (swapped) {
-                            output.pairs.emplace_back(probe_id, build_id);
-                          } else {
-                            output.pairs.emplace_back(build_id, probe_id);
-                          }
-                        });
+            out.Emit(build_id, probe_id);
           }
-          output.ms = morsel.Seconds() * 1e3;
-          join_out[round.first + index] = std::move(output);
-        },
-        [&](size_t index) {
-          MorselOutput& output = join_out[round.first + index];
-          stats.MergeCounters(output.stats);
-          max_grid_bytes = std::max(max_grid_bytes, output.grid_bytes);
-          join_report.max_morsel_ms =
-              std::max(join_report.max_morsel_ms, output.ms);
-          // The sink's single-thread contract: only this thread emits,
-          // in morsel order — the sequence a single runner produces.
-          if (!cancel.stop_requested()) {
-            for (const auto& [a_id, b_id] : output.pairs) out.Emit(a_id, b_id);
-          }
-          output.pairs = {};
         });
-    join_report.helpers = std::max(join_report.helpers, round_help.helpers);
-    stats.helper_seconds += round_help.seconds;
+      } else {
+        join_morsel(m, s, output, [&](uint32_t build_id, uint32_t probe_id) {
+          ++output.stats.results;
+          if (swapped) {
+            output.pairs.emplace_back(probe_id, build_id);
+          } else {
+            output.pairs.emplace_back(build_id, probe_id);
+          }
+        });
+      }
+      join_out[round.first + index] = std::move(output);
+    };
+    RunMorsels(
+        helpers, cancel,
+        ScratchLoop(round.last - round.first, scratch, round_morsel,
+                    [&](size_t index) {
+                      MorselOutput& output = join_out[round.first + index];
+                      stats.MergeCounters(output.stats);
+                      max_grid_bytes =
+                          std::max(max_grid_bytes, output.grid_bytes);
+                      // The sink's single-thread contract: only this thread
+                      // emits, in morsel order — the sequence a single
+                      // runner produces.
+                      if (!cancel.stop_requested()) {
+                        for (const auto& [a_id, b_id] : output.pairs) {
+                          out.Emit(a_id, b_id);
+                        }
+                      }
+                      // Released as soon as emitted (`= {}` would keep
+                      // the capacity until the join returns).
+                      output.pairs = decltype(output.pairs)();
+                    }),
+        join_report);
     shared_grid.reset();
   }
+  stats.helper_seconds += join_report.helper_seconds;
   stats.join_seconds = phase.Seconds();
   join_report.Annotate(local_join_span);
+  if (local_join_span.active()) {
+    local_join_span.AddAttr("scatter_ms",
+                            StrFormat("%.3f", scatter_seconds * 1e3));
+  }
   local_join_span.End();
 
   stats.memory_bytes = tree.MemoryUsageBytes() +

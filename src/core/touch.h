@@ -1,11 +1,11 @@
 #ifndef TOUCH_CORE_TOUCH_H_
 #define TOUCH_CORE_TOUCH_H_
 
-#include "core/morsel.h"
 #include "core/touch_tree.h"
 #include "join/algorithm.h"
 #include "join/local_join.h"
 #include "util/cancellation.h"
+#include "util/morsel.h"
 
 namespace touch {
 
@@ -46,15 +46,15 @@ struct TouchOptions {
   enum class JoinOrder { kAuto, kBuildOnA, kBuildOnB };
   JoinOrder join_order = JoinOrder::kAuto;
 
-  /// Runners for the assignment and local-join phases (phases 2 and 3) when
-  /// the caller lends none: the calling thread plus `threads - 1` helper
-  /// threads of the join's own. Both phases run as morsels — fixed ranges
-  /// of probe objects, then (inner node, item range) slices — claimed from
-  /// one shared counter, so even one dominant node (the root of a skewed
-  /// tree) spreads over every runner. Results, their emission order and
-  /// every JoinStats counter are identical at any thread count; only the
-  /// calling thread emits. 0 or 1 runs the paper's single-threaded
-  /// execution; phase 1 (the tree build) is single-threaded either way.
+  /// Runners for all three phases when the caller lends none: the calling
+  /// thread plus `threads - 1` helper threads of the join's own. Every
+  /// phase runs as morsels claimed from one shared counter: the STR slab
+  /// sorts of the tree build, fixed ranges of probe objects, the x-parts
+  /// of a split node's grid and (inner node, item range) slices — so even
+  /// one dominant node (the root of a skewed tree) spreads over every
+  /// runner. The tree, the results, their emission order and every
+  /// JoinStats counter are identical at any thread count; only the calling
+  /// thread emits. 0 or 1 runs the paper's single-threaded execution.
   int threads = 1;
 };
 

@@ -7,6 +7,7 @@
 
 #include "geom/box.h"
 #include "index/rtree.h"
+#include "util/morsel.h"
 
 namespace touch {
 
@@ -38,7 +39,12 @@ class TouchTree {
 
   /// Builds the tree over `boxes` with STR packing: leaves hold up to
   /// `leaf_capacity` objects, inner nodes have up to `fanout` children.
-  TouchTree(std::span<const Box> boxes, size_t leaf_capacity, size_t fanout);
+  /// `helpers`, when given, lends threads that run the STR slab sorts as
+  /// morsels beside the calling thread (see StrPartition); the tree is the
+  /// same with or without them. `report`, when given, receives the morsel
+  /// figures of every STR pass.
+  TouchTree(std::span<const Box> boxes, size_t leaf_capacity, size_t fanout,
+            MorselHelpers* helpers = nullptr, MorselReport* report = nullptr);
 
   /// Converts an existing bulk-loaded R-tree over dataset A into the TOUCH
   /// tree, skipping the tree-building phase entirely — the paper's section

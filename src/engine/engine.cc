@@ -8,13 +8,13 @@
 #include <utility>
 
 #include "core/factory.h"
-#include "core/morsel.h"
 #include "core/overlap_kernel.h"
 #include "core/touch.h"
 #include "index/rtree.h"
 #include "join/pbsm.h"
 #include "join/rtree_join.h"
 #include "util/memory.h"
+#include "util/morsel.h"
 #include "util/timer.h"
 
 namespace touch {
@@ -31,6 +31,8 @@ class PoolHelpers : public MorselHelpers {
   int Offer(int max_helpers, const std::function<void()>& help) override {
     return pool_.OfferHelp(max_helpers, help);
   }
+
+  int Idle() const override { return pool_.idle_workers(); }
 
   std::function<bool()> YieldSignal() const override {
     const WorkerPool* pool = &pool_;  // outlives every task it runs
@@ -115,13 +117,23 @@ Dataset EnlargedCopy(std::span<const Box> boxes, float epsilon) {
 /// enlarged copy when the key's epsilon is nonzero; it stays empty when the
 /// tree was built directly over the catalog's boxes (the executor then
 /// passes the catalog span to JoinWithPrebuiltTree instead).
+/// `build_seconds` is single-runner seconds: the build's wall time plus
+/// the STR slab sorts idle workers took off the building thread.
+/// Calibration and the cache's cost-aware admission both read it, and an
+/// idle pool must not make a rebuild look cheap to either.
 struct CachedTouchIndex : CachedArtifact {
   Dataset boxes;
   TouchTree tree;
+  double wall_seconds = 0;
+  double helper_seconds = 0;
 
-  CachedTouchIndex(Dataset boxes_in, TouchTree tree_in, double seconds)
-      : boxes(std::move(boxes_in)), tree(std::move(tree_in)) {
-    build_seconds = seconds;
+  CachedTouchIndex(Dataset boxes_in, TouchTree tree_in, double wall,
+                   double helped)
+      : boxes(std::move(boxes_in)),
+        tree(std::move(tree_in)),
+        wall_seconds(wall),
+        helper_seconds(helped) {
+    build_seconds = wall + helped;
   }
   size_t MemoryUsageBytes() const override {
     return tree.MemoryUsageBytes() + VectorBytes(boxes);
@@ -599,15 +611,17 @@ void QueryEngine::RecordOutcome(const JoinRequest& request,
       CombineHistograms(stats_a, stats_b, request.epsilon,
                         options_.planner.estimator_resolution)
           .expected_results;
-  outcome.build_seconds = result.stats.build_seconds;
   // Single-runner times: how many idle workers helped a TOUCH request
   // depends on the load at that moment, and the other families never get
   // helpers, so wall time alone would make TOUCH look cheap whenever the
   // pool happened to be idle.
+  const double build_helped = result.stats.build_helper_seconds;
   const double helped = result.stats.helper_seconds;
+  outcome.build_seconds = result.stats.build_seconds + build_helped;
   outcome.probe_seconds =
       result.stats.assign_seconds + result.stats.join_seconds + helped;
-  outcome.total_seconds = result.stats.total_seconds + helped;
+  outcome.total_seconds =
+      result.stats.total_seconds + build_helped + helped;
   feedback_.Record(outcome);
 }
 
@@ -1205,8 +1219,13 @@ JoinResult QueryEngine::ExecuteTouch(JoinPlan plan, const JoinRequest& request,
   EnterPhase(ctx, RequestPhase::kBuildingIndex);
   SpanScope build_span(ctx.trace, "build-index");
   build_span.AddAttr("kind", "touch-tree");
+  // Idle workers help the build and the join alike, unless the plan keeps
+  // this request off them (shard pairs).
+  PoolHelpers pool_helpers(pool_);
+  MorselHelpers* helpers = plan.borrow_idle_workers ? &pool_helpers : nullptr;
   Timer build_phase;
   bool missed = false;
+  MorselReport build_report;
   const IndexCache::ArtifactPtr artifact = cache_.GetOrBuild(
       key,
       [&]() -> IndexCache::ArtifactPtr {
@@ -1218,13 +1237,18 @@ JoinResult QueryEngine::ExecuteTouch(JoinPlan plan, const JoinRequest& request,
         const std::span<const Box> tree_input =
             boxes.empty() ? std::span<const Box>(build_src)
                           : std::span<const Box>(boxes);
-        TouchTree tree(tree_input, leaf_capacity, touch_options.fanout);
+        // Builds are shared artifacts and always run to completion, so
+        // the STR morsels never poll the request's cancel.
+        TouchTree tree(tree_input, leaf_capacity, touch_options.fanout,
+                       helpers, &build_report);
         return std::make_shared<CachedTouchIndex>(
-            std::move(boxes), std::move(tree), build_timer.Seconds());
+            std::move(boxes), std::move(tree), build_timer.Seconds(),
+            build_report.helper_seconds);
       },
       [&] { return PredictedBuildSeconds("touch", request); });
   result.index_cache_hit = !missed;
   build_span.AddAttr("cache", missed ? "miss" : "hit");
+  if (missed) build_report.Annotate(build_span);
   build_span.End();
   metrics_->histogram("touch_engine_build_seconds")
       .Observe(build_phase.Seconds());
@@ -1246,8 +1270,6 @@ JoinResult QueryEngine::ExecuteTouch(JoinPlan plan, const JoinRequest& request,
       entry->boxes.empty() ? std::span<const Box>(build_src)
                            : std::span<const Box>(entry->boxes);
   TouchJoin join(touch_options);
-  PoolHelpers pool_helpers(pool_);
-  MorselHelpers* helpers = plan.borrow_idle_workers ? &pool_helpers : nullptr;
   if (plan.build_on_a) {
     result.stats = join.JoinWithPrebuiltTree(entry->tree, tree_boxes, b, out,
                                              0.0f, ctx.cancel, helpers);
@@ -1265,7 +1287,8 @@ JoinResult QueryEngine::ExecuteTouch(JoinPlan plan, const JoinRequest& request,
       .Observe(exec_timer.Seconds());
   // A miss pays the build it triggered; a hit reuses the cached tree for
   // free — the productized section-4.3 shortcut.
-  result.stats.build_seconds = missed ? entry->build_seconds : 0.0;
+  result.stats.build_seconds = missed ? entry->wall_seconds : 0.0;
+  result.stats.build_helper_seconds = missed ? entry->helper_seconds : 0.0;
   result.stats.total_seconds = total.Seconds();
   result.plan = std::move(plan);
   return result;

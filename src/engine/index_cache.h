@@ -77,9 +77,10 @@ struct CachedArtifact {
   /// denominator; must not change after the builder returns.
   virtual size_t MemoryUsageBytes() const = 0;
 
-  /// Wall-clock seconds the build cost (reported as build_seconds by the
-  /// query that missed; cache hits report 0, the productized form of the
-  /// paper's section-4.3 prebuilt-index shortcut). Also the eviction
+  /// Seconds the build cost on a single runner: its wall time, plus the
+  /// work any helper threads took off the building thread (reported to
+  /// the query that missed; cache hits report 0, the productized form of
+  /// the paper's section-4.3 prebuilt-index shortcut). Also the eviction
   /// weight's numerator and the unit of Stats::cost_saved_seconds.
   double build_seconds = 0;
 };
@@ -147,8 +148,8 @@ class IndexCache {
     size_t bytes = 0;
     /// The configured cap (0 = unbounded).
     size_t capacity_bytes = 0;
-    /// Accumulated build_seconds of every hit: the wall-clock rebuild work
-    /// the cache saved its queries so far.
+    /// Accumulated build_seconds of every hit: the rebuild work the cache
+    /// saved its queries so far.
     double cost_saved_seconds = 0;
 
     /// Hits over lookups, 0 when nothing was looked up yet.

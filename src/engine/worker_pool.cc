@@ -68,11 +68,7 @@ int WorkerPool::OfferHelp(int max_helpers,
   {
     MutexLock lock(mutex_);
     if (stopping_) return 0;
-    // Waiting workers already promised to a queued task or help call are
-    // not idle.
-    const int idle = waiting_workers_ - static_cast<int>(queue_.size()) -
-                     static_cast<int>(help_queue_.size());
-    const int wanted = std::clamp(max_helpers, 0, std::max(idle, 0));
+    const int wanted = std::clamp(max_helpers, 0, IdleLocked());
     for (; offered < wanted; ++offered) {
       // A failed copy ends the offer; the helpers queued so far stand.
       try {
@@ -85,6 +81,18 @@ int WorkerPool::OfferHelp(int max_helpers,
   }
   if (offered > 0) work_available_.NotifyAll();
   return offered;
+}
+
+int WorkerPool::IdleLocked() const {
+  // Waiting workers already promised to a queued task or help call are
+  // not idle.
+  return std::max(0, waiting_workers_ - static_cast<int>(queue_.size()) -
+                         static_cast<int>(help_queue_.size()));
+}
+
+int WorkerPool::idle_workers() const {
+  MutexLock lock(mutex_);
+  return stopping_ ? 0 : IdleLocked();
 }
 
 size_t WorkerPool::queue_depth() const {

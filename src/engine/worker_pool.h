@@ -98,6 +98,9 @@ class WorkerPool {
   int OfferHelp(int max_helpers, const std::function<void()>& help)
       EXCLUDES(mutex_);
 
+  /// Workers OfferHelp would hand a help call to right now.
+  int idle_workers() const EXCLUDES(mutex_);
+
   /// True while submitted tasks wait in the queue (lock-free).
   bool has_queued_tasks() const {
     return queued_tasks_.load(std::memory_order_relaxed) > 0;
@@ -115,6 +118,8 @@ class WorkerPool {
   };
 
   void WorkerLoop() EXCLUDES(mutex_);
+  // Waiting workers no queued task or help call is already headed to.
+  int IdleLocked() const REQUIRES(mutex_);
 
   std::atomic<int> busy_workers_{0};
   std::atomic<uint64_t> tasks_completed_{0};

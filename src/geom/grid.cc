@@ -19,16 +19,14 @@ GridMapper::GridMapper(const Box& domain, int res_x, int res_y, int res_z)
   }
 }
 
+int GridMapper::AxisCell(int axis, float v) const {
+  const int idx =
+      static_cast<int>(std::floor((v - domain_.lo[axis]) * inv_w_[axis]));
+  return std::clamp(idx, 0, res_[axis] - 1);
+}
+
 CellCoord GridMapper::CellOf(const Vec3& p) const {
-  CellCoord c;
-  const float rel[3] = {p.x - domain_.lo.x, p.y - domain_.lo.y,
-                        p.z - domain_.lo.z};
-  int* out[3] = {&c.x, &c.y, &c.z};
-  for (int axis = 0; axis < 3; ++axis) {
-    const int idx = static_cast<int>(std::floor(rel[axis] * inv_w_[axis]));
-    *out[axis] = std::clamp(idx, 0, res_[axis] - 1);
-  }
-  return c;
+  return CellCoord{AxisCell(0, p.x), AxisCell(1, p.y), AxisCell(2, p.z)};
 }
 
 CellRange GridMapper::RangeOf(const Box& box) const {

@@ -57,6 +57,10 @@ class GridMapper {
   /// Cell containing a point (clamped into the grid).
   CellCoord CellOf(const Vec3& p) const;
 
+  /// Index along `axis` (0 = x) of the cells holding coordinate `v` on
+  /// that axis (clamped into the grid): CellOf's per-axis step.
+  int AxisCell(int axis, float v) const;
+
   /// Inclusive range of cells a box overlaps (clamped into the grid).
   CellRange RangeOf(const Box& box) const;
 

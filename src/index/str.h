@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "geom/box.h"
+#include "util/morsel.h"
 
 namespace touch {
 
@@ -37,7 +38,22 @@ struct StrPartitioning {
 /// "typically produces leaf nodes with the smallest MBRs" (paper section 5.1)
 /// which is why both the R-tree bulk loader and TOUCH's partitioning phase
 /// use it.
-StrPartitioning StrPartition(std::span<const Box> boxes, size_t bucket_size);
+///
+/// Every sort orders ids by the center along its axis, ties by id. It sorts
+/// 64-bit keys rather than ids through a comparator: a key holds the bits
+/// of the float `lo + hi + 0.0f` in its high half, mapped so that unsigned
+/// order is float order (sign bit set: all bits flipped; clear: sign bit
+/// set), and the id in its low half. The `+ 0.0f` turns a center of -0
+/// into +0: the two compare equal as floats, so they must tie and fall back
+/// to the id, exactly as the comparator sort does.
+///
+/// The x-sort runs on the calling thread; the slabs' y- and z-sorts touch
+/// disjoint ranges and run as morsels on `helpers` too, when given. The
+/// output is identical at any runner count. `report`, when given, receives
+/// the slab loop's morsel figures.
+StrPartitioning StrPartition(std::span<const Box> boxes, size_t bucket_size,
+                             MorselHelpers* helpers = nullptr,
+                             MorselReport* report = nullptr);
 
 /// MBR of a bucket of object ids.
 Box BucketMbr(std::span<const Box> boxes, std::span<const uint32_t> ids);

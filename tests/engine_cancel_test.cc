@@ -486,6 +486,139 @@ TEST_F(EngineCancelTest, CancelMidLocalJoinCompletesOnceWithHelpers) {
   EXPECT_EQ(log.completions.load(), 4);
 }
 
+/// Records the emitted pairs and every completion into test-owned storage.
+struct PairLog {
+  std::vector<IdPair> pairs;
+  std::atomic<int> completions{0};
+  RequestStatus last_status = RequestStatus::kOk;
+};
+
+class PairLogSink : public ResultSink {
+ public:
+  explicit PairLogSink(PairLog* log) : log_(*log) {}
+  void Emit(uint32_t a_id, uint32_t b_id) override {
+    log_.pairs.emplace_back(a_id, b_id);
+  }
+  void OnComplete(const JoinResult& result) override {
+    log_.last_status = result.status;
+    ++log_.completions;
+  }
+
+ private:
+  PairLog& log_;
+};
+
+/// The TOUCH pair sequence of `request`'s datasets on a one-worker engine,
+/// where nobody is idle to help.
+std::vector<IdPair> SingleRunnerSequence(const Dataset& a, const Dataset& b,
+                                         float epsilon) {
+  EngineOptions options;
+  options.threads = 1;
+  QueryEngine engine(options);
+  const JoinRequest request{engine.RegisterDataset("A", a),
+                            engine.RegisterDataset("B", b), epsilon};
+  JoinPlan plan = engine.Plan(request);
+  plan.algorithm = "touch";
+  PairLog log;
+  EXPECT_TRUE(engine
+                  .SubmitPlanned(plan, request,
+                                 std::make_unique<PairLogSink>(&log))
+                  .Get()
+                  .ok());
+  return log.pairs;
+}
+
+TEST_F(EngineCancelTest, CancelDuringHelpedBuildCachesTheWholeTree) {
+  const Dataset big_a = GenerateSynthetic(Distribution::kClustered, 30000, 67);
+  const Dataset big_b = GenerateSynthetic(Distribution::kClustered, 60000, 68);
+  const std::vector<IdPair> reference = SingleRunnerSequence(big_a, big_b, 2);
+  ASSERT_FALSE(reference.empty());
+
+  PairLog cancelled_log;
+  {
+    PhaseGate gate(RequestPhase::kBuildingIndex);
+    EngineOptions options;
+    options.threads = 4;  // one request in flight: three idle helpers
+    options.phase_observer = gate.Observer();
+    QueryEngine engine(options);
+    const JoinRequest request{engine.RegisterDataset("A", big_a),
+                              engine.RegisterDataset("B", big_b), 2.0f};
+    JoinPlan plan = engine.Plan(request);
+    plan.algorithm = "touch";
+
+    RequestHandle handle = engine.SubmitPlanned(
+        plan, request, std::make_unique<PairLogSink>(&cancelled_log));
+    gate.WaitReached();
+    EXPECT_TRUE(handle.Cancel());
+    gate.Release();
+    // The helped STR build ran to completion under the cancel, and the
+    // request stopped at the build -> execute boundary.
+    EXPECT_TRUE(handle.Get().cancelled());
+    EXPECT_TRUE(cancelled_log.pairs.empty());
+
+    // The next request finds the whole tree: it skips the build and emits
+    // the single runner's sequence.
+    PairLog warm_log;
+    const JoinResult warm =
+        engine
+            .SubmitPlanned(plan, request,
+                           std::make_unique<PairLogSink>(&warm_log))
+            .Get();
+    ASSERT_TRUE(warm.ok()) << warm.error;
+    EXPECT_TRUE(warm.index_cache_hit);
+    EXPECT_EQ(warm_log.pairs, reference);
+  }
+  EXPECT_EQ(cancelled_log.completions.load(), 1);
+  EXPECT_EQ(cancelled_log.last_status, RequestStatus::kCancelled);
+}
+
+TEST_F(EngineCancelTest, DeadlinesAcrossTheHelpedJoinEmitPrefixes) {
+  // Deadlines spread over a cached-tree request: some land in assignment,
+  // some in a split node's scatter, some in its probe. Each request
+  // completes once, and what it emitted is a prefix of the whole sequence:
+  // no round probes a grid its scatter did not finish.
+  const Dataset big_a = GenerateSynthetic(Distribution::kClustered, 30000, 69);
+  const Dataset big_b = GenerateSynthetic(Distribution::kClustered, 60000, 70);
+  const std::vector<IdPair> reference = SingleRunnerSequence(big_a, big_b, 2);
+  ASSERT_FALSE(reference.empty());
+
+  EngineOptions options;
+  options.threads = 4;
+  QueryEngine engine(options);
+  const JoinRequest request{engine.RegisterDataset("A", big_a),
+                            engine.RegisterDataset("B", big_b), 2.0f};
+  JoinPlan plan = engine.Plan(request);
+  plan.algorithm = "touch";
+  PairLog whole;
+  ASSERT_TRUE(
+      engine.SubmitPlanned(plan, request, std::make_unique<PairLogSink>(&whole))
+          .Get()
+          .ok());
+  ASSERT_EQ(whole.pairs, reference);
+  PairLog timed;
+  const auto timed_start = std::chrono::steady_clock::now();
+  engine.SubmitPlanned(plan, request, std::make_unique<PairLogSink>(&timed))
+      .Get();
+  const auto cached_run = std::chrono::steady_clock::now() - timed_start;
+
+  for (int step = 0; step < 12; ++step) {
+    SCOPED_TRACE(step);
+    JoinRequest cut = request;
+    cut.deadline = std::chrono::steady_clock::now() + cached_run * step / 10;
+    PairLog log;
+    const JoinResult result =
+        engine.SubmitPlanned(plan, cut, std::make_unique<PairLogSink>(&log))
+            .Get();
+    EXPECT_EQ(log.completions.load(), 1);
+    ASSERT_LE(log.pairs.size(), reference.size());
+    EXPECT_TRUE(
+        std::equal(log.pairs.begin(), log.pairs.end(), reference.begin()));
+    if (result.ok()) {
+      EXPECT_EQ(log.pairs, reference);
+    }
+  }
+}
+
 TEST(RequestLifecycleNamesTest, StableNamesForTelemetry) {
   EXPECT_STREQ(RequestPhaseName(RequestPhase::kQueued), "queued");
   EXPECT_STREQ(RequestPhaseName(RequestPhase::kBuildingIndex),

@@ -437,13 +437,67 @@ TEST_F(MorselHelperTest, CalibrationRecordsSingleRunnerSeconds) {
   ASSERT_FALSE(result.index_cache_hit);
   const std::vector<PlanOutcome> outcomes = engine.feedback().RecentOutcomes();
   ASSERT_EQ(outcomes.size(), 1u);
-  // Whatever the idle workers took off the request's worker is added back.
+  // Whatever the idle workers took off the request's worker is added back,
+  // in the build as in the join.
   const double helped = result.stats.helper_seconds;
+  const double build_helped = result.stats.build_helper_seconds;
   EXPECT_GE(helped, 0.0);
+  EXPECT_GE(build_helped, 0.0);
   EXPECT_EQ(outcomes[0].family, "touch");
-  EXPECT_EQ(outcomes[0].total_seconds, result.stats.total_seconds + helped);
+  EXPECT_EQ(outcomes[0].total_seconds,
+            result.stats.total_seconds + build_helped + helped);
+  EXPECT_EQ(outcomes[0].build_seconds,
+            result.stats.build_seconds + build_helped);
   EXPECT_EQ(outcomes[0].probe_seconds, result.stats.assign_seconds +
                                            result.stats.join_seconds + helped);
+}
+
+TEST_F(MorselHelperTest, TreeBuildCostIsSingleRunnerSeconds) {
+  EngineOptions options;
+  options.threads = 4;
+  options.tracer = std::make_shared<Tracer>();
+  QueryEngine engine(options);
+  const JoinRequest request{engine.RegisterDataset("a", a_),
+                            engine.RegisterDataset("b", b_), 2.0f};
+  const JoinPlan plan = TouchPlan(engine, request);
+  CountingCollector out;
+  // Cold runs until idle workers helped the build: whether they wake in
+  // time is up to the scheduler.
+  JoinResult cold;
+  for (int attempt = 0; attempt < 5; ++attempt) {
+    engine.ClearIndexCache();
+    cold = engine
+               .SubmitPlanned(plan, request,
+                              std::make_unique<ForwardingSink>(out))
+               .Get();
+    ASSERT_TRUE(cold.ok()) << cold.error;
+    ASSERT_FALSE(cold.index_cache_hit);
+    // The build ran its STR slab sorts as morsels, helped or not.
+    EXPECT_GE(
+        SpanAttr(*options.tracer, cold.trace_id, "build-index", "morsels"), 2);
+    const long helpers =
+        SpanAttr(*options.tracer, cold.trace_id, "build-index", "helpers");
+    EXPECT_GE(helpers, 0);
+    EXPECT_LE(helpers, 3);
+    if (cold.stats.build_helper_seconds > 0) break;
+  }
+  ASSERT_GT(cold.stats.build_helper_seconds, 0.0);
+  // Calibration fits the build on what it would cost one runner...
+  const double single_runner =
+      cold.stats.build_seconds + cold.stats.build_helper_seconds;
+  EXPECT_EQ(engine.feedback().RecentOutcomes().back().build_seconds,
+            single_runner);
+  // ...and the cache weighs the tree by the same cost: a hit saves it.
+  const double saved_before = engine.cache_stats().cost_saved_seconds;
+  const JoinResult warm =
+      engine.SubmitPlanned(plan, request, std::make_unique<ForwardingSink>(out))
+          .Get();
+  ASSERT_TRUE(warm.ok()) << warm.error;
+  ASSERT_TRUE(warm.index_cache_hit);
+  EXPECT_EQ(warm.stats.build_seconds, 0.0);
+  EXPECT_EQ(warm.stats.build_helper_seconds, 0.0);
+  EXPECT_DOUBLE_EQ(engine.cache_stats().cost_saved_seconds - saved_before,
+                   single_runner);
 }
 
 TEST_F(MorselHelperTest, SaturatedPoolRunsEveryMorselOnTheCaller) {

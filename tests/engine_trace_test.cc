@@ -250,6 +250,55 @@ TEST_F(EngineTraceTest, ShardedOkRequestCoversPlanBuildExecuteGather) {
             1u);
 }
 
+TEST_F(EngineTraceTest, TouchSpansCarryTheirMorselFigures) {
+  EngineOptions options = TracedOptions();
+  options.threads = 4;
+  QueryEngine engine(options);
+  const DatasetHandle a = engine.RegisterDataset("small", small_);
+  const DatasetHandle b = engine.RegisterDataset("large", large_);
+  CountingCollector out;
+  const JoinResult result = engine.ExecuteFixed("touch", {a, b, 2.0f}, out);
+  ASSERT_TRUE(result.ok()) << result.error;
+  ASSERT_FALSE(result.index_cache_hit);
+  const TraceView view(*tracer_);
+  ExpectWellFormed(view, result.trace_id);
+  const auto attrs_of = [](const TraceView& trace, const std::string& name) {
+    std::map<std::string, std::string> attrs;
+    const SpanRecord* span = trace.Find(name);
+    if (span != nullptr) {
+      for (const SpanAttr& attr : span->attrs) attrs[attr.first] = attr.second;
+    }
+    return attrs;
+  };
+  // Every morsel phase: the STR build, assignment and the local join.
+  for (const std::string name :
+       {"build-index", "touch-assign", "touch-local-join"}) {
+    const auto attrs = attrs_of(view, name);
+    ASSERT_TRUE(attrs.count("morsels")) << name;
+    ASSERT_TRUE(attrs.count("helpers")) << name;
+    ASSERT_TRUE(attrs.count("max_morsel_ms")) << name;
+    EXPECT_GE(std::stol(attrs.at("morsels")), 1) << name;
+    EXPECT_GE(std::stol(attrs.at("helpers")), 0) << name;
+    // ExecuteFixed runs on this thread: every pool worker may help.
+    EXPECT_LE(std::stol(attrs.at("helpers")), options.threads) << name;
+    EXPECT_GE(std::stod(attrs.at("max_morsel_ms")), 0.0) << name;
+  }
+  EXPECT_EQ(attrs_of(view, "build-index").at("cache"), "miss");
+  // The local join reports its split-node scatters' wall time.
+  const auto local_join = attrs_of(view, "touch-local-join");
+  ASSERT_TRUE(local_join.count("scatter_ms"));
+  EXPECT_GE(std::stod(local_join.at("scatter_ms")), 0.0);
+
+  // A cache hit builds nothing, so its build-index span has no morsels.
+  tracer_->Clear();
+  const JoinResult warm = engine.ExecuteFixed("touch", {a, b, 2.0f}, out);
+  ASSERT_TRUE(warm.ok()) << warm.error;
+  ASSERT_TRUE(warm.index_cache_hit);
+  const auto warm_build = attrs_of(TraceView(*tracer_), "build-index");
+  EXPECT_EQ(warm_build.at("cache"), "hit");
+  EXPECT_FALSE(warm_build.count("morsels"));
+}
+
 TEST_F(EngineTraceTest, UntracedEngineStillSetsFirstResultAndMetrics) {
   // tracer == nullptr must not disable the sink wrapper or the registry.
   EngineOptions options;

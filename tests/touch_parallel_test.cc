@@ -12,11 +12,13 @@
 
 #include <gtest/gtest.h>
 
-#include "core/morsel.h"
 #include "core/touch.h"
+#include "core/touch_scratch.h"
 #include "datagen/distributions.h"
+#include "morsel_test_helpers.h"
 #include "obs/trace.h"
 #include "test_util.h"
+#include "util/morsel.h"
 #include "util/rng.h"
 
 // Set on a thread to make that thread's next allocation fail: how the tests
@@ -383,64 +385,75 @@ TEST(TouchParallelEdgeTest, JoinNestedInsideEmitLeavesTheOuterJoinIntact) {
   EXPECT_EQ(out.inner_, OracleJoin(small_a, small_b));
 }
 
-// Helpers on threads of the test's own, as many as asked for whatever the
-// host's core count (TouchOptions::threads is capped at it). `wait` runs
-// each loop's helpers to the end inside Offer, before the caller claims a
-// morsel: they take every morsel but the ones they fail on.
-// `fail_first_allocation` makes each helper's first allocation throw.
-class TestHelpers final : public MorselHelpers {
- public:
-  TestHelpers(int threads, bool wait, bool fail_first_allocation)
-      : threads_(threads), wait_(wait), fail_(fail_first_allocation) {}
-  ~TestHelpers() override { JoinAll(); }
-  TestHelpers(const TestHelpers&) = delete;
-  TestHelpers& operator=(const TestHelpers&) = delete;
-
-  int Offer(int max_helpers, const std::function<void()>& help) override {
-    JoinAll();
-    const int count = std::min(max_helpers, threads_);
-    for (int i = 0; i < count; ++i) {
-      running_.emplace_back([help, fail = fail_] {
-        fail_next_allocation = fail;
-        help();
-        fail_next_allocation = false;
-      });
-    }
-    if (wait_) JoinAll();
-    return count;
+// A small join on a thread whose scratch last served a tree of millions of
+// nodes. Its assignment morsels left per-node counts too large for the
+// scratch budget, so the lease's Trim releases them; the counts and the
+// list of nodes they hold go together, and the next, smaller join never
+// clears a count past the end of its own array. (A join whose tree is big
+// enough for that needs hundreds of megabytes, so the test puts the
+// scratch in the state it leaves.)
+TEST(TouchParallelEdgeTest, SmallJoinAfterTrimmedNodeCountsOnTheSameThread) {
+  {
+    ScratchLease lease;
+    NodeCounter& counter = lease.get().node_counts;
+    constexpr size_t kNodes = 5'000'000;
+    counter.Start(kNodes, 1);
+    counter.Add(kNodes - 1);
+    ASSERT_GT(counter.CapacityBytes(), kRetainedScratchBytes);
   }
-
- private:
-  void JoinAll() {
-    for (std::thread& thread : running_) thread.join();
-    running_.clear();
+  {
+    ScratchLease lease;  // the same thread's scratch, trimmed
+    EXPECT_LE(lease.get().node_counts.CapacityBytes(), kRetainedScratchBytes);
   }
+  Dataset a = GenerateSynthetic(Distribution::kClustered, 2000, 121);
+  for (Box& box : a) box = box.Enlarged(6.0f);
+  const Dataset b = GenerateSynthetic(Distribution::kClustered, 3000, 122);
+  TouchOptions options;
+  options.threads = 1;  // assignment runs on this thread's scratch
+  options.leaf_capacity = 4;
+  TouchJoin join(options);
+  JoinStats stats;
+  const std::vector<IdPair> expected = OracleJoin(a, b);
+  ASSERT_FALSE(expected.empty());
+  EXPECT_EQ(RunJoinSorted(join, a, b, &stats), expected);
+  EXPECT_EQ(stats.results, expected.size());
+  // And again, on the counts the first small join left.
+  EXPECT_EQ(RunJoinSorted(join, a, b), expected);
+}
 
-  const int threads_;
-  const bool wait_;
-  const bool fail_;
-  std::vector<std::thread> running_;
-};
+// Makes the first allocation of the helper thread it wraps throw.
+void FailFirstAllocation(const std::function<void()>& help) {
+  fail_next_allocation = true;
+  help();
+  fail_next_allocation = false;
+}
 
-// The dominant-node inputs joined over a prebuilt tree with `helpers`.
+// Inputs joined over a prebuilt tree with `helpers`; by default the
+// dominant-node inputs.
 class PrebuiltTreeJoin {
  public:
   PrebuiltTreeJoin()
-      : items_(ScatteredItems(20000, 117)),
-        rods_(RodsAlongX(1500, 118)),
+      : PrebuiltTreeJoin(ScatteredItems(20000, 117), RodsAlongX(1500, 118)) {}
+  PrebuiltTreeJoin(Dataset items, Dataset rods)
+      : items_(std::move(items)),
+        rods_(std::move(rods)),
         tree_(items_, (items_.size() + TouchOptions{}.partitions - 1) /
                           TouchOptions{}.partitions,
               TouchOptions{}.fanout) {}
 
-  Emitted Run(MorselHelpers* helpers) const {
+  Emitted Run(MorselHelpers* helpers,
+              CancellationToken cancel = CancellationToken()) const {
     TouchJoin join;
     VectorCollector out;
     Emitted emitted;
     emitted.stats = join.JoinWithPrebuiltTree(tree_, items_, rods_, out, 0.0f,
-                                              CancellationToken(), helpers);
+                                              std::move(cancel), helpers);
     emitted.sequence = out.pairs();
     return emitted;
   }
+
+  const Dataset& items() const { return items_; }
+  const Dataset& rods() const { return rods_; }
 
  private:
   Dataset items_;
@@ -453,8 +466,7 @@ TEST(TouchMorselHelpersTest, EightRunnersKeepTheSequence) {
   const Emitted single = join.Run(nullptr);
   ASSERT_FALSE(single.sequence.empty());
   EXPECT_EQ(single.stats.helper_seconds, 0.0);
-  TestHelpers helpers(/*threads=*/7, /*wait=*/false,
-                      /*fail_first_allocation=*/false);
+  TestHelpers helpers(/*threads=*/7, /*wait=*/false);
   const Emitted many = join.Run(&helpers);
   EXPECT_EQ(many.sequence, single.sequence);
   EXPECT_EQ(many.stats.comparisons, single.stats.comparisons);
@@ -468,8 +480,7 @@ TEST(TouchMorselHelpersTest, HelperSecondsCountTheHelpersWork) {
   const Emitted single = join.Run(nullptr);
   // The helper runs every morsel before the caller claims one, so the
   // caller never waits and all the morsel time is the helper's.
-  TestHelpers helpers(/*threads=*/1, /*wait=*/true,
-                      /*fail_first_allocation=*/false);
+  TestHelpers helpers(/*threads=*/1, /*wait=*/true);
   const Emitted helped = join.Run(&helpers);
   EXPECT_EQ(helped.sequence, single.sequence);
   EXPECT_GT(helped.stats.helper_seconds, 0.0);
@@ -480,13 +491,170 @@ TEST(TouchMorselHelpersTest, HelperFailureIsRethrownByTheCaller) {
   // The helper fails its first morsel that allocates and leaves; the
   // caller runs the rest. The failed morsel's pairs are missing, so the
   // join must throw rather than return a short result.
-  TestHelpers helpers(/*threads=*/1, /*wait=*/true,
-                      /*fail_first_allocation=*/true);
+  TestHelpers helpers(/*threads=*/1, /*wait=*/true, FailFirstAllocation);
   EXPECT_THROW(join.Run(&helpers), std::bad_alloc);
   // The failed join released this thread's scratch: the next one is whole.
-  TestHelpers healthy(/*threads=*/1, /*wait=*/true,
-                      /*fail_first_allocation=*/false);
+  TestHelpers healthy(/*threads=*/1, /*wait=*/true);
   EXPECT_EQ(join.Run(&healthy).sequence, join.Run(nullptr).sequence);
+}
+
+// FNV-1a over the ids of a pair sequence, in order.
+uint64_t SequenceHash(const std::vector<IdPair>& sequence) {
+  uint64_t hash = 1469598103934665603ull;
+  for (const auto& [a_id, b_id] : sequence) {
+    for (const uint32_t id : {a_id, b_id}) {
+      for (int byte = 0; byte < 4; ++byte) {
+        hash ^= (id >> (8 * byte)) & 0xffu;
+        hash *= 1099511628211ull;
+      }
+    }
+  }
+  return hash;
+}
+
+// The single runner emits `golden_hash`'s sequence over `join`'s inputs,
+// and every runner count and schedule emits it too, with the same
+// counters. The goldens pin the sequence the single-runner join emitted
+// before split nodes scattered their grids by x-part: a change to the
+// order of any cell's entities changes it.
+void ExpectHelpersKeepTheSequence(const PrebuiltTreeJoin& join,
+                                  uint64_t golden_hash) {
+  const Emitted single = join.Run(nullptr);
+  ASSERT_FALSE(single.sequence.empty());
+  EXPECT_EQ(SequenceHash(single.sequence), golden_hash);
+  std::vector<IdPair> sorted = single.sequence;
+  std::sort(sorted.begin(), sorted.end());
+  EXPECT_EQ(sorted, OracleJoin(join.items(), join.rods()));
+  for (const auto& [threads, wait] :
+       {std::pair{1, false}, std::pair{3, false}, std::pair{7, false},
+        std::pair{3, true}}) {
+    SCOPED_TRACE(testing::Message() << threads << " helpers, wait " << wait);
+    TestHelpers helpers(threads, wait);
+    const Emitted many = join.Run(&helpers);
+    EXPECT_EQ(many.sequence, single.sequence);
+    EXPECT_EQ(many.stats.comparisons, single.stats.comparisons);
+    EXPECT_EQ(many.stats.node_comparisons, single.stats.node_comparisons);
+    EXPECT_EQ(many.stats.filtered, single.stats.filtered);
+    EXPECT_EQ(many.stats.results, single.stats.results);
+    EXPECT_EQ(many.stats.memory_bytes, single.stats.memory_bytes);
+  }
+}
+
+// The local-join span's wall time of split-node scatters, -1 when absent.
+double ScatterMs(const Tracer& tracer) {
+  for (const SpanRecord& record : tracer.Snapshot()) {
+    if (record.name != "touch-local-join") continue;
+    for (const auto& [key, value] : record.attrs) {
+      if (key == "scatter_ms") return std::stod(value);
+    }
+  }
+  return -1;
+}
+
+TEST(TouchScatterPartsTest, SplitNodeNarrowerThanThePartCount) {
+  // Items in a slab 20 wide along x: with cells at least 4x the 2-wide
+  // items, every node's grid is at most 3 cells wide along x, fewer than
+  // the scatter's x-parts, so the split root scatters over fewer parts.
+  Rng rng(121);
+  Dataset items;
+  for (int i = 0; i < 20000; ++i) {
+    const float x = static_cast<float>(rng.Uniform(0, 20));
+    const float y = static_cast<float>(rng.Uniform(0, 1000));
+    const float z = static_cast<float>(rng.Uniform(0, 1000));
+    items.push_back(MakeBox(x, y, z, x + 2, y + 2, z + 2));
+  }
+  Dataset rods;
+  for (int i = 0; i < 1500; ++i) {
+    const float y = static_cast<float>(rng.Uniform(0, 970));
+    const float z = static_cast<float>(rng.Uniform(10, 840));
+    rods.push_back(MakeBox(0, y, z, 22, y + 30, z + 30));
+  }
+  const PrebuiltTreeJoin join(items, rods);
+  // Precondition: a split node was scattered.
+  Tracer tracer;
+  {
+    SpanScope test_span(TraceContext{&tracer, tracer.NewTraceId(), 0},
+                        "test");
+    join.Run(nullptr);
+  }
+  EXPECT_GT(ScatterMs(tracer), 0.0);
+  ExpectHelpersKeepTheSequence(join, 0x15be4d32678b8048ull);
+}
+
+TEST(TouchScatterPartsTest, EntitiesSpanningEveryPart) {
+  // Rods along the whole x range of the cube: the root's grid is far wider
+  // than the part count along x, and every rod reaches every part.
+  ExpectHelpersKeepTheSequence(PrebuiltTreeJoin(), 0x943c6f0c04eedba7ull);
+}
+
+TEST(TouchScatterPartsTest, EntitiesSpanningSomeParts) {
+  Rng rng(122);
+  Dataset rods;
+  for (int i = 0; i < 1500; ++i) {
+    const float x = static_cast<float>(rng.Uniform(0, 700));
+    const float y = static_cast<float>(rng.Uniform(0, 970));
+    const float z = static_cast<float>(rng.Uniform(10, 840));
+    rods.push_back(MakeBox(x, y, z, x + 300, y + 30, z + 30));
+  }
+  ExpectHelpersKeepTheSequence(
+      PrebuiltTreeJoin(ScatteredItems(20000, 117), std::move(rods)),
+      0xecd3097751406fe5ull);
+}
+
+// Cancels its source when the `cancel_at`-th morsel loop is offered, then
+// lends three helpers like any other loop's.
+class CancelOnOffer final : public MorselHelpers {
+ public:
+  CancelOnOffer(int cancel_at, CancellationSource& source)
+      : cancel_at_(cancel_at), source_(source) {}
+
+  int Offer(int max_helpers, const std::function<void()>& help) override {
+    if (++offers_ == cancel_at_) source_.RequestStop();
+    return helpers_.Offer(max_helpers, help);
+  }
+
+  int Idle() const override { return helpers_.Idle(); }
+
+ private:
+  const int cancel_at_;
+  CancellationSource& source_;
+  int offers_ = 0;
+  TestHelpers helpers_{3, /*wait=*/false};
+};
+
+// Cancels at each morsel loop `join` offers in turn: every cut run emits a
+// prefix of the whole sequence and counts exactly what it emitted.
+void ExpectCancelAtAnyLoopEmitsAPrefix(const PrebuiltTreeJoin& join,
+                                       int expected_loops) {
+  const Emitted whole = join.Run(nullptr);
+  TestHelpers counting(3, /*wait=*/false);
+  join.Run(&counting);
+  ASSERT_GE(counting.offers(), expected_loops);
+  for (int cancel_at = 1; cancel_at <= counting.offers(); ++cancel_at) {
+    SCOPED_TRACE(cancel_at);
+    CancellationSource source;
+    CancelOnOffer helpers(cancel_at, source);
+    const Emitted cut = join.Run(&helpers, source.token());
+    EXPECT_EQ(cut.stats.results, cut.sequence.size());
+    ASSERT_LE(cut.sequence.size(), whole.sequence.size());
+    EXPECT_TRUE(std::equal(cut.sequence.begin(), cut.sequence.end(),
+                           whole.sequence.begin()));
+  }
+}
+
+TEST(TouchScatterPartsTest, CancelAtAnyLoopEmitsAPrefix) {
+  // The dominant root is split, so three loops are offered: the scatter's
+  // count and fill loops, then the probe loop. A cancel landing on any of
+  // them stops the join cleanly — a grid the cancel cut short is never
+  // probed.
+  ExpectCancelAtAnyLoopEmitsAPrefix(PrebuiltTreeJoin(), 3);
+  // Many nodes: assignment, split nodes and rounds of small ones.
+  Dataset a = GenerateSynthetic(Distribution::kClustered, 20000, 123);
+  for (Box& box : a) box = box.Enlarged(6.0f);
+  ExpectCancelAtAnyLoopEmitsAPrefix(
+      PrebuiltTreeJoin(std::move(a),
+                       GenerateSynthetic(Distribution::kClustered, 40000, 124)),
+      4);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "datagen/distributions.h"
+#include "morsel_test_helpers.h"
 #include "test_util.h"
 
 namespace touch {
@@ -139,6 +140,34 @@ TEST(TouchTreeTest, MemoryUsageIsPositiveAndGrows) {
   const TouchTree t2(large, 8, 2);
   EXPECT_GT(t1.MemoryUsageBytes(), 0u);
   EXPECT_LT(t1.MemoryUsageBytes(), t2.MemoryUsageBytes());
+}
+
+TEST(TouchTreeTest, HelpedBuildIsIdentical) {
+  const Dataset boxes = GenerateSynthetic(Distribution::kClustered, 30000, 9);
+  const TouchTree alone(boxes, 30, 2);
+  for (const int threads : {1, 3, 7}) {
+    SCOPED_TRACE(threads);
+    TestHelpers helpers(threads, /*wait=*/false);
+    MorselReport report;
+    const TouchTree helped(boxes, 30, 2, &helpers, &report);
+    EXPECT_GE(report.morsels, 2u);  // the leaf level's x-slabs at least
+    EXPECT_EQ(helped.root(), alone.root());
+    EXPECT_EQ(helped.height(), alone.height());
+    ASSERT_EQ(helped.nodes().size(), alone.nodes().size());
+    for (size_t i = 0; i < alone.nodes().size(); ++i) {
+      const TouchTree::Node& a = alone.nodes()[i];
+      const TouchTree::Node& b = helped.nodes()[i];
+      EXPECT_EQ(b.mbr.lo, a.mbr.lo) << i;
+      EXPECT_EQ(b.mbr.hi, a.mbr.hi) << i;
+      EXPECT_EQ(b.children_begin, a.children_begin) << i;
+      EXPECT_EQ(b.children_count, a.children_count) << i;
+      EXPECT_EQ(b.item_begin, a.item_begin) << i;
+      EXPECT_EQ(b.item_end, a.item_end) << i;
+      EXPECT_EQ(b.level, a.level) << i;
+    }
+    EXPECT_TRUE(std::ranges::equal(helped.child_ids(), alone.child_ids()));
+    EXPECT_TRUE(std::ranges::equal(helped.item_ids(), alone.item_ids()));
+  }
 }
 
 }  // namespace

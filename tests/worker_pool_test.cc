@@ -149,12 +149,14 @@ TEST(WorkerPoolTest, OfferHelpGoesOnlyToIdleWorkers) {
   });
   started.get_future().wait();
   std::atomic<int> helped{0};
+  EXPECT_EQ(pool.idle_workers(), 0);
   EXPECT_EQ(pool.OfferHelp(4, [&helped] { ++helped; }), 0);
   release.set_value();
   pool.WaitIdle();
   EXPECT_EQ(helped.load(), 0);
 
   WorkerPool wide(3);
+  EXPECT_LE(wide.idle_workers(), 3);
   const int offered = wide.OfferHelp(8, [&helped] { ++helped; });
   EXPECT_GE(offered, 0);
   EXPECT_LE(offered, 3);
