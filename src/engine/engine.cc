@@ -4,6 +4,7 @@
 #include <cstring>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 
@@ -74,7 +75,7 @@ class RemapCollector : public ResultCollector {
 
 /// Measures time-to-first-Emit generically — for every algorithm, not just
 /// the streaming NBPS that historically self-reported it. Wrapped around
-/// the request's collector in ExecutePlanned; single-threaded like every
+/// the request's collector in ExecuteRequest; single-threaded like every
 /// engine sink (Emit calls are never concurrent per request).
 class FirstEmitCollector : public ResultCollector {
  public:
@@ -104,11 +105,21 @@ class FirstEmitCollector : public ResultCollector {
   double elapsed_seconds_ = 0.0;
 };
 
+/// The copy of `boxes` enlarged by `epsilon` that an artifact owns, or
+/// nothing when `epsilon` is 0 (the artifact then reads `boxes` itself).
 Dataset EnlargedCopy(std::span<const Box> boxes, float epsilon) {
   Dataset out;
+  if (epsilon <= 0) return out;
   out.reserve(boxes.size());
   for (const Box& box : boxes) out.push_back(box.Enlarged(epsilon));
   return out;
+}
+
+/// The boxes an artifact was built over: its own enlarged copy, or the
+/// catalog's `src` when it holds none.
+std::span<const Box> ArtifactBoxes(const Dataset& owned,
+                                   std::span<const Box> src) {
+  return owned.empty() ? src : std::span<const Box>(owned);
 }
 
 // --- Cached artifact types (one per ArtifactKind) ---------------------------
@@ -157,8 +168,7 @@ struct CachedInlIndex : CachedArtifact {
   CachedInlIndex(Dataset boxes_in, RTree tree_in,
                  std::span<const Box> raw_boxes, double seconds)
       : boxes(std::move(boxes_in)), tree(std::move(tree_in)) {
-    slabs.Build(tree,
-                boxes.empty() ? raw_boxes : std::span<const Box>(boxes));
+    slabs.Build(tree, ArtifactBoxes(boxes, raw_boxes));
     build_seconds = seconds;
   }
   size_t MemoryUsageBytes() const override {
@@ -244,9 +254,11 @@ struct internal::RequestState {
   JoinRequest request;
   std::unique_ptr<ResultSink> sink;  // may be null (count-only)
   CompletionCallback on_complete;    // may be null
-  /// Non-null for SubmitPlanned requests: the centrally computed plan the
-  /// worker executes instead of planning (the sharded scatter path).
-  std::unique_ptr<JoinPlan> preplanned;
+  /// Set for SubmitPlanned and ExecuteFixed requests: the plan the worker
+  /// executes instead of planning (the sharded scatter path, fixed runs).
+  std::optional<JoinPlan> preplanned;
+  /// An ExecuteFixed run: its root span carries `fixed=true`.
+  bool fixed = false;
   std::promise<JoinResult> promise;
   JoinResult result;
   /// Advanced by the executing worker; the kQueued→kPlanning transition is
@@ -310,6 +322,11 @@ JoinResult ErrorResult(std::string message) {
   return result;
 }
 
+JoinResult InvalidHandleResult(const DatasetCatalog& catalog) {
+  return ErrorResult("invalid dataset handle (catalog has " +
+                     std::to_string(catalog.size()) + " datasets)");
+}
+
 /// Delivers `result` exactly once: terminal phase, sink OnComplete,
 /// completion callback, promise — in that order. Idempotent; safe to call
 /// concurrently from the worker's completion notification and from a
@@ -349,6 +366,7 @@ void Deliver(const RequestStatePtr& state, JoinResult&& result) {
       root.attrs.emplace_back("algorithm", result.plan.algorithm);
     }
     if (result.index_cache_hit) root.attrs.emplace_back("cache", "hit");
+    if (state->fixed) root.attrs.emplace_back("fixed", "true");
     state->tracer->Record(std::move(root));
   }
   try {
@@ -383,9 +401,6 @@ bool CancelRequest(const RequestStatePtr& state) {
     // no longer be mid-call. (The subscription list entry is pruned lazily
     // by the next mutation batch, which sees `delivered`.)
     { MutexLock barrier(state->cont_sink_mutex); }
-    RequestPhase expected = RequestPhase::kExecuting;
-    state->phase.compare_exchange_strong(expected, RequestPhase::kCancelled,
-                                         std::memory_order_acq_rel);
     Deliver(state, CancelledResult());
     return first;
   }
@@ -486,9 +501,6 @@ QueryEngine::~QueryEngine() {
     for (const std::shared_ptr<internal::ContinuousSub>& sub : subs_) {
       sub->state->cancel.RequestStop();
       { MutexLock barrier(sub->state->cont_sink_mutex); }
-      RequestPhase expected = RequestPhase::kExecuting;
-      sub->state->phase.compare_exchange_strong(
-          expected, RequestPhase::kCancelled, std::memory_order_acq_rel);
       Deliver(sub->state, CancelledResult());
     }
     subs_.clear();
@@ -573,15 +585,24 @@ uint64_t QueryEngine::ApplyMutations(DatasetHandle dataset,
 }
 
 JoinPlan QueryEngine::Plan(const JoinRequest& request) const {
-  if (options_.calibration.enabled) {
-    const CalibrationSnapshot snapshot =
-        feedback_.Snapshot(options_.calibration.min_samples);
-    return planner_.Plan(catalog_, request, &snapshot);
-  }
-  return planner_.Plan(catalog_, request);
+  // Pinned reads: a mutation batch racing this plan cannot free the stats.
+  return PlanFromStats(catalog_.snapshot(request.a)->stats,
+                       catalog_.snapshot(request.b)->stats, request.epsilon);
 }
 
-void QueryEngine::RecordOutcome(const JoinRequest& request,
+JoinPlan QueryEngine::PlanFromStats(const DatasetStats& stats_a,
+                                    const DatasetStats& stats_b,
+                                    float epsilon) const {
+  if (!options_.calibration.enabled) {
+    return planner_.Plan(stats_a, stats_b, epsilon);
+  }
+  const CalibrationSnapshot snapshot =
+      feedback_.Snapshot(options_.calibration.min_samples);
+  return planner_.Plan(stats_a, stats_b, epsilon, &snapshot);
+}
+
+void QueryEngine::RecordOutcome(const DatasetStats& stats_a,
+                                const DatasetStats& stats_b, float epsilon,
                                 const JoinResult& result) {
   if (!options_.calibration.enabled) return;
   // Cache hits skipped (some of) the build the cost models are fitted
@@ -593,13 +614,6 @@ void QueryEngine::RecordOutcome(const JoinRequest& request,
       result.partial_index_cache_hit) {
     return;
   }
-  // Pinned reads: the ref-returning stats accessor is only stable while no
-  // mutation of the dataset can run concurrently, which this path can't
-  // assume.
-  const DatasetSnapshotPtr snap_a = catalog_.snapshot(request.a);
-  const DatasetSnapshotPtr snap_b = catalog_.snapshot(request.b);
-  const DatasetStats& stats_a = snap_a->stats;
-  const DatasetStats& stats_b = snap_b->stats;
   PlanOutcome outcome;
   outcome.family = AlgorithmFamily(result.plan.algorithm);
   outcome.objects = stats_a.count + stats_b.count;
@@ -608,7 +622,7 @@ void QueryEngine::RecordOutcome(const JoinRequest& request,
   // fixed runs, whose plans skip estimation, get the same feature as auto
   // runs) — see PlanOutcome::estimated_results.
   outcome.estimated_results =
-      CombineHistograms(stats_a, stats_b, request.epsilon,
+      CombineHistograms(stats_a, stats_b, epsilon,
                         options_.planner.estimator_resolution)
           .expected_results;
   // Single-runner times: how many idle workers helped a TOUCH request
@@ -645,9 +659,7 @@ double QueryEngine::PredictedBuildSeconds(const char* family,
 
 void QueryEngine::EnterPhase(const ExecContext& ctx,
                              RequestPhase phase) const {
-  if (ctx.state != nullptr) {
-    ctx.state->phase.store(phase, std::memory_order_release);
-  }
+  ctx.state->phase.store(phase, std::memory_order_release);
   // One emission point drives both observers: the tracer gets a phase
   // instant under the request root, and the legacy phase_observer hook —
   // now a thin adapter over the same event — gets the enum.
@@ -659,21 +671,18 @@ void QueryEngine::EnterPhase(const ExecContext& ctx,
   if (options_.phase_observer) options_.phase_observer(phase);
 }
 
-RequestHandle QueryEngine::SubmitInternal(const JoinRequest& request,
-                                          std::unique_ptr<ResultSink> sink,
-                                          CompletionCallback on_complete,
-                                          std::unique_ptr<JoinPlan> preplanned) {
+std::shared_ptr<internal::RequestState> QueryEngine::NewRequestState(
+    const JoinRequest& request, std::unique_ptr<ResultSink> sink,
+    CompletionCallback on_complete) const {
   auto state = std::make_shared<internal::RequestState>();
   state->request = request;
   state->sink = std::move(sink);
   state->on_complete = std::move(on_complete);
-  state->preplanned = std::move(preplanned);
   // A request deadline rides on the cancellation flag: once it passes,
   // every phase boundary and cooperative kernel poll sees a requested stop,
   // so the timeout holds even when nobody waits on the handle.
-  if (request.deadline.time_since_epoch().count() != 0) {
-    state->cancel.SetDeadline(request.deadline);
-  }
+  const bool deadline = request.deadline.time_since_epoch().count() != 0;
+  if (deadline) state->cancel.SetDeadline(request.deadline);
   state->tracer = tracer_.get();
   state->metrics = metrics_.get();
   state->submit_ns = TraceClockNs();
@@ -684,12 +693,24 @@ RequestHandle QueryEngine::SubmitInternal(const JoinRequest& request,
                                             : state->tracer->NewTraceId();
     state->root_span_id = state->tracer->NewSpanId();
     state->root_parent_id = request.trace_parent_span;
-    if (request.deadline.time_since_epoch().count() != 0) {
+    if (deadline) {
       state->tracer->RecordInstant(state->trace_id, state->root_span_id,
                                    "deadline-armed");
     }
   }
-  std::future<JoinResult> future = state->promise.get_future();
+  return state;
+}
+
+RequestHandle QueryEngine::Enqueue(
+    std::shared_ptr<internal::RequestState> state) {
+  RequestHandle handle(state, state->promise.get_future());
+  if (state->request.continuous) {
+    // Submit routes standing queries to SubmitContinuous, so only a planned
+    // request arrives here with the flag, and a standing query has no
+    // one-shot plan to run. The error completes through the caller's sink.
+    Deliver(state, ErrorResult("planned requests cannot be continuous"));
+    return handle;
+  }
   // Pre-fill an error so that even an exception escaping ExecuteRequest's
   // own catch blocks (e.g. bad_alloc while building the error string)
   // completes the future as a *failure*, never as a silent empty success;
@@ -720,8 +741,9 @@ RequestHandle QueryEngine::SubmitInternal(const JoinRequest& request,
         ResultCollector& out =
             state->sink ? static_cast<ResultCollector&>(*state->sink)
                         : null_sink;
-        state->result = ExecuteRequest(state->request, out, ctx,
-                                       state->preplanned.get());
+        state->result = ExecuteRequest(
+            state->request, out, ctx,
+            state->preplanned ? &*state->preplanned : nullptr);
       },
       // Delivery runs as the pool's completion notification so the future
       // completes even if the task itself escaped. A kCancelled phase here
@@ -747,37 +769,24 @@ RequestHandle QueryEngine::SubmitInternal(const JoinRequest& request,
         return state->phase.compare_exchange_strong(
             expected, RequestPhase::kPlanning, std::memory_order_acq_rel);
       });
-  return RequestHandle(std::move(state), std::move(future));
-}
-
-RequestHandle QueryEngine::Submit(const JoinRequest& request,
-                                  std::unique_ptr<ResultSink> sink) {
-  if (request.continuous) {
-    return SubmitContinuous(request, std::move(sink), nullptr);
-  }
-  return SubmitInternal(request, std::move(sink), nullptr);
+  return handle;
 }
 
 RequestHandle QueryEngine::Submit(const JoinRequest& request,
                                   std::unique_ptr<ResultSink> sink,
                                   CompletionCallback on_complete) {
-  if (request.continuous) {
-    return SubmitContinuous(request, std::move(sink),
-                            std::move(on_complete));
-  }
-  return SubmitInternal(request, std::move(sink), std::move(on_complete));
+  auto state =
+      NewRequestState(request, std::move(sink), std::move(on_complete));
+  return request.continuous ? SubmitContinuous(std::move(state))
+                            : Enqueue(std::move(state));
 }
 
 RequestHandle QueryEngine::SubmitPlanned(JoinPlan plan,
                                          const JoinRequest& request,
                                          std::unique_ptr<ResultSink> sink) {
-  if (request.continuous) {
-    // A standing query has no one-shot plan to execute; the scatter path
-    // never sets the flag, so reject rather than silently drop the plan.
-    return SubmitContinuous(request, nullptr, nullptr);
-  }
-  return SubmitInternal(request, std::move(sink), nullptr,
-                        std::make_unique<JoinPlan>(std::move(plan)));
+  auto state = NewRequestState(request, std::move(sink), nullptr);
+  state->preplanned = std::move(plan);
+  return Enqueue(std::move(state));
 }
 
 BatchHandle QueryEngine::SubmitBatch(std::span<const JoinRequest> requests,
@@ -785,38 +794,18 @@ BatchHandle QueryEngine::SubmitBatch(std::span<const JoinRequest> requests,
   BatchHandle batch;
   batch.requests_.reserve(requests.size());
   for (size_t i = 0; i < requests.size(); ++i) {
-    std::unique_ptr<ResultSink> sink =
-        make_sink ? make_sink(i) : nullptr;
     batch.requests_.push_back(
-        requests[i].continuous
-            ? SubmitContinuous(requests[i], std::move(sink), nullptr)
-            : SubmitInternal(requests[i], std::move(sink), nullptr));
+        Submit(requests[i], make_sink ? make_sink(i) : nullptr));
   }
   return batch;
 }
 
 // --- Continuous joins -------------------------------------------------------
 
-RequestHandle QueryEngine::SubmitContinuous(const JoinRequest& request,
-                                            std::unique_ptr<ResultSink> sink,
-                                            CompletionCallback on_complete) {
-  auto state = std::make_shared<internal::RequestState>();
-  state->request = request;
+RequestHandle QueryEngine::SubmitContinuous(
+    std::shared_ptr<internal::RequestState> state) {
+  const JoinRequest& request = state->request;
   state->continuous = true;
-  state->sink = std::move(sink);
-  state->on_complete = std::move(on_complete);
-  state->tracer = tracer_.get();
-  state->metrics = metrics_.get();
-  state->submit_ns = TraceClockNs();
-  if (request.deadline.time_since_epoch().count() != 0) {
-    state->cancel.SetDeadline(request.deadline);
-  }
-  if (state->tracer != nullptr) {
-    state->trace_id = request.trace_id != 0 ? request.trace_id
-                                            : state->tracer->NewTraceId();
-    state->root_span_id = state->tracer->NewSpanId();
-    state->root_parent_id = request.trace_parent_span;
-  }
   RequestHandle handle(state, state->promise.get_future());
   // Validation failures deliver an error result through the normal path, so
   // the future, sink OnComplete and completion callback all still fire.
@@ -826,9 +815,7 @@ RequestHandle QueryEngine::SubmitContinuous(const JoinRequest& request,
     return handle;
   }
   if (!catalog_.Contains(request.a) || !catalog_.Contains(request.b)) {
-    Deliver(state, ErrorResult("invalid dataset handle (catalog has " +
-                               std::to_string(catalog_.size()) +
-                               " datasets)"));
+    Deliver(state, InvalidHandleResult(catalog_));
     return handle;
   }
   if (request.a == request.b) {
@@ -865,9 +852,6 @@ RequestHandle QueryEngine::SubmitContinuous(const JoinRequest& request,
   if (state->cancel.stop_requested()) {
     // Deadline (or a racing Cancel) fired during the baseline: complete now
     // instead of subscribing a dead query.
-    RequestPhase expected = RequestPhase::kExecuting;
-    state->phase.compare_exchange_strong(expected, RequestPhase::kCancelled,
-                                         std::memory_order_acq_rel);
     Deliver(state, CancelledResult());
     return handle;
   }
@@ -958,78 +942,32 @@ JoinResult QueryEngine::Execute(const JoinRequest& request,
   return Submit(request, std::make_unique<ForwardingSink>(out)).Get();
 }
 
-std::vector<JoinResult> QueryEngine::ExecuteBatch(
-    std::span<const JoinRequest> requests) {
-  return SubmitBatch(requests).GetAll();
-}
-
 JoinResult QueryEngine::ExecuteFixed(const std::string& algorithm,
                                      const JoinRequest& request,
                                      ResultCollector& out) {
   if (algorithm == "auto") return Execute(request, out);
   if (!catalog_.Contains(request.a) || !catalog_.Contains(request.b)) {
-    return ErrorResult("invalid dataset handle (catalog has " +
-                       std::to_string(catalog_.size()) + " datasets)");
+    return InvalidHandleResult(catalog_);
   }
   if (MakeAlgorithm(algorithm) == nullptr) {
     return ErrorResult(UnknownAlgorithmMessage(algorithm));
   }
-  // Fixed runs get the same request root span and status counters as
-  // submitted ones (attr fixed=true tells them apart), on the caller's
-  // thread with a default (never-cancelled) context — pinned to the current
-  // dataset snapshots like every submitted request.
-  ExecContext ctx;
-  ctx.snap_a = catalog_.snapshot(request.a);
-  ctx.snap_b = catalog_.snapshot(request.b);
   JoinPlan plan;
   plan.algorithm = algorithm;
-  plan.build_on_a = ctx.snap_a->stats.count <= ctx.snap_b->stats.count;
+  plan.build_on_a = catalog_.snapshot(request.a)->stats.count <=
+                    catalog_.snapshot(request.b)->stats.count;
   plan.touch.join_order = plan.build_on_a ? TouchOptions::JoinOrder::kBuildOnA
                                           : TouchOptions::JoinOrder::kBuildOnB;
   plan.touch.threads = 1;
   plan.rationale = "algorithm fixed by caller";
-  const int64_t start_ns = TraceClockNs();
-  if (tracer_ != nullptr) {
-    const uint64_t trace_id =
-        request.trace_id != 0 ? request.trace_id : tracer_->NewTraceId();
-    ctx.trace = TraceContext{tracer_.get(), trace_id, tracer_->NewSpanId()};
-  }
-  const auto finish = [&](JoinResult result) {
-    result.trace_id = ctx.trace.trace_id;
-    metrics_
-        ->counter(std::string("touch_engine_requests_total{status=\"") +
-                  RequestStatusName(result.status) + "\"}")
-        .Increment();
-    if (ctx.trace.active()) {
-      SpanRecord root;
-      root.trace_id = ctx.trace.trace_id;
-      root.span_id = ctx.trace.span_id;
-      root.parent_id = request.trace_parent_span;
-      root.start_ns = start_ns;
-      root.duration_ns = TraceClockNs() - start_ns;
-      root.thread = CurrentThreadIndex();
-      root.name = "request";
-      root.attrs.emplace_back("status", RequestStatusName(result.status));
-      root.attrs.emplace_back("algorithm", result.plan.algorithm);
-      root.attrs.emplace_back("fixed", "true");
-      tracer_->Record(std::move(root));
-    }
-    return result;
-  };
-  try {
-    // Fixed runs are evidence too — they are how callers (and the planner
-    // benchmark) teach the calibrator about families the static rules would
-    // never pick on a workload.
-    metrics_
-        ->counter(std::string("touch_engine_plans_total{family=\"") +
-                  AlgorithmFamily(plan.algorithm) + "\"}")
-        .Increment();
-    JoinResult result = ExecutePlanned(std::move(plan), request, out, ctx);
-    RecordOutcome(request, result);
-    return finish(std::move(result));
-  } catch (const std::exception& e) {
-    return finish(ErrorResult(std::string("execution failed: ") + e.what()));
-  }
+  // A planned submission that marks its root span: it waits in the queue,
+  // borrows idle workers, honours its deadline and feeds calibration
+  // exactly like the auto request it is compared against.
+  auto state = NewRequestState(request, std::make_unique<ForwardingSink>(out),
+                               nullptr);
+  state->preplanned = std::move(plan);
+  state->fixed = true;
+  return Enqueue(std::move(state)).Get();
 }
 
 // --- Execution core ---------------------------------------------------------
@@ -1037,13 +975,12 @@ JoinResult QueryEngine::ExecuteFixed(const std::string& algorithm,
 JoinResult QueryEngine::ExecuteRequest(const JoinRequest& request,
                                        ResultCollector& out,
                                        const ExecContext& ctx,
-                                       const JoinPlan* preplanned) {
+                                       JoinPlan* preplanned) {
   // Boundary check: cancelled while queued but claimed by the worker before
   // the canceller could deliver promptly.
   if (ctx.cancel.stop_requested()) return CancelledResult();
   if (!catalog_.Contains(request.a) || !catalog_.Contains(request.b)) {
-    return ErrorResult("invalid dataset handle (catalog has " +
-                       std::to_string(catalog_.size()) + " datasets)");
+    return InvalidHandleResult(catalog_);
   }
   // Pin both datasets for the request's whole execution: geometry, stats
   // and cache-key versions all come from these snapshots, so a mutation
@@ -1060,21 +997,14 @@ JoinResult QueryEngine::ExecuteRequest(const JoinRequest& request,
     if (preplanned != nullptr) {
       // Scattered shard pairs execute the plan they arrived with; their
       // "plan" span lives at the scatter site that computed it.
-      plan = *preplanned;
+      plan = std::move(*preplanned);
     } else {
       SpanScope plan_span(pinned.trace, "plan");
       Timer plan_timer;
       // Plan from the *pinned* stats (not a fresh catalog read), so the
       // plan and the execution below describe the same dataset version.
-      if (options_.calibration.enabled) {
-        const CalibrationSnapshot snapshot =
-            feedback_.Snapshot(options_.calibration.min_samples);
-        plan = planner_.Plan(pinned.snap_a->stats, pinned.snap_b->stats,
-                             request.epsilon, &snapshot);
-      } else {
-        plan = planner_.Plan(pinned.snap_a->stats, pinned.snap_b->stats,
-                             request.epsilon);
-      }
+      plan = PlanFromStats(pinned.snap_a->stats, pinned.snap_b->stats,
+                           request.epsilon);
       metrics_->histogram("touch_engine_plan_seconds")
           .Observe(plan_timer.Seconds());
       plan_span.AddAttr("algorithm", plan.algorithm);
@@ -1094,14 +1024,34 @@ JoinResult QueryEngine::ExecuteRequest(const JoinRequest& request,
         .Increment();
     // Boundary: planned → index build.
     if (ctx.cancel.stop_requested()) return CancelledResult();
-    JoinResult result = ExecutePlanned(std::move(plan), request, out, pinned);
+    FirstEmitCollector first_emit(out, pinned.trace);
+    // The kernels emit dense slot indices. While a dataset keeps slot/id
+    // identity (never mutated, or mutated append-only) that already *is*
+    // the object id; once a delete has swapped slots around, remap on the
+    // way out so callers always see stable ids.
+    RemapCollector remapped(first_emit, *pinned.snap_a, *pinned.snap_b);
+    const bool remap =
+        !pinned.snap_a->identity_ids() || !pinned.snap_b->identity_ids();
+    JoinResult result = ExecuteFamily(
+        std::move(plan), request,
+        remap ? static_cast<ResultCollector&>(remapped) : first_emit, pinned);
+    // NBPS measures its own (stream-internal) first-result latency; keep
+    // the tighter self-report when present, fill in generically otherwise.
+    if (result.stats.first_result_seconds == 0.0 && first_emit.seen()) {
+      result.stats.first_result_seconds = first_emit.elapsed_seconds();
+    }
+    if (result.ok() && result.stats.first_result_seconds > 0.0) {
+      metrics_->histogram("touch_engine_first_result_seconds")
+          .Observe(result.stats.first_result_seconds);
+    }
     // One flag for every executor: a request whose cancel fired mid-run
     // (the kernels bail cooperatively) or right at the end reports
     // Cancelled — its sink may have seen partial pairs either way.
     if (result.ok() && ctx.cancel.stop_requested()) {
       result.status = RequestStatus::kCancelled;
     }
-    RecordOutcome(request, result);
+    RecordOutcome(pinned.snap_a->stats, pinned.snap_b->stats, request.epsilon,
+                  result);
     return result;
   } catch (const std::exception& e) {
     return ErrorResult(std::string("execution failed: ") + e.what());
@@ -1110,101 +1060,123 @@ JoinResult QueryEngine::ExecuteRequest(const JoinRequest& request,
   }
 }
 
-JoinResult QueryEngine::ExecutePlanned(JoinPlan plan,
-                                       const JoinRequest& request,
-                                       ResultCollector& out,
-                                       const ExecContext& ctx) {
-  FirstEmitCollector first_emit(out, ctx.trace);
-  // The kernels emit dense slot indices. While a dataset keeps slot/id
-  // identity (never mutated, or mutated append-only) that already *is* the
-  // object id; once a delete has swapped slots around, remap on the way out
-  // so callers always see stable ids.
-  RemapCollector remapped(first_emit, *ctx.snap_a, *ctx.snap_b);
-  const bool remap =
-      !ctx.snap_a->identity_ids() || !ctx.snap_b->identity_ids();
-  JoinResult result = ExecutePlannedImpl(
-      std::move(plan), request,
-      remap ? static_cast<ResultCollector&>(remapped) : first_emit, ctx);
-  // NBPS measures its own (stream-internal) first-result latency; keep the
-  // tighter self-report when present, fill in generically otherwise.
-  if (result.stats.first_result_seconds == 0.0 && first_emit.seen()) {
-    result.stats.first_result_seconds = first_emit.elapsed_seconds();
-  }
-  if (result.ok() && result.stats.first_result_seconds > 0.0) {
-    metrics_->histogram("touch_engine_first_result_seconds")
-        .Observe(result.stats.first_result_seconds);
-  }
-  return result;
-}
-
-JoinResult QueryEngine::ExecutePlannedImpl(JoinPlan plan,
-                                           const JoinRequest& request,
-                                           ResultCollector& out,
-                                           const ExecContext& ctx) {
-  if (options_.cache_indexes) {
-    if (plan.algorithm == "touch") {
-      return ExecuteTouch(std::move(plan), request, out, ctx);
-    }
-    if (plan.algorithm == "inl") {
-      return ExecuteInl(std::move(plan), request, out, ctx);
-    }
-    int resolution = 0;
-    if (ParsePbsmResolution(plan.algorithm, &resolution)) {
-      return ExecutePbsm(std::move(plan), request, resolution, out, ctx);
-    }
-  }
-
+JoinResult QueryEngine::ExecuteFamily(JoinPlan plan,
+                                      const JoinRequest& request,
+                                      ResultCollector& out,
+                                      const ExecContext& ctx) {
   JoinResult result;
-  AlgorithmConfig config;
-  config.touch = plan.touch;
-  std::unique_ptr<SpatialJoinAlgorithm> algorithm =
-      MakeAlgorithm(plan.algorithm, config);
-  if (algorithm == nullptr) {
-    return ErrorResult(UnknownAlgorithmMessage(plan.algorithm));
-  }
-  // The uncached fallback path (nl, ps, the R-tree zoo) has no cooperative
-  // hooks: a cancel takes effect at the next phase boundary, i.e. after the
-  // join. The planner only sends small inputs here, so the latency gap is
-  // bounded by design.
-  EnterPhase(ctx, RequestPhase::kExecuting);
-  SpanScope exec_span(ctx.trace, "execute");
-  exec_span.AddAttr("algorithm", plan.algorithm);
-  Timer exec_timer;
-  const Dataset& a = ctx.snap_a->boxes;
-  const Dataset& b = ctx.snap_b->boxes;
-  // Orientation-sensitive algorithms (inl: index over the first input) get
-  // swapped inputs when the plan builds on B; "touch" orients itself through
-  // join_order instead, and the symmetric algorithms are always planned with
-  // build_on_a. A distance join may enlarge either side, so swapping keeps
-  // the same result set.
-  if (plan.build_on_a || plan.algorithm == "touch") {
-    result.stats = DistanceJoin(*algorithm, a, b, request.epsilon, out);
+  int resolution = 0;
+  if (plan.algorithm == "touch") {
+    result = ExecuteTouch(plan, request, out, ctx);
+  } else if (plan.algorithm == "inl") {
+    result = ExecuteInl(plan, request, out, ctx);
+  } else if (ParsePbsmResolution(plan.algorithm, &resolution)) {
+    result = ExecutePbsm(plan, request, resolution, out, ctx);
   } else {
-    SwappedCollector swapped(out);
-    result.stats = DistanceJoin(*algorithm, b, a, request.epsilon, swapped);
+    AlgorithmConfig config;
+    config.touch = plan.touch;
+    std::unique_ptr<SpatialJoinAlgorithm> algorithm =
+        MakeAlgorithm(plan.algorithm, config);
+    if (algorithm == nullptr) {
+      return ErrorResult(UnknownAlgorithmMessage(plan.algorithm));
+    }
+    // The uncached path (nl, ps, the R-tree zoo) has no cooperative hooks:
+    // a cancel takes effect at the next phase boundary, i.e. after the
+    // join. The planner only sends small inputs here, so the latency gap is
+    // bounded by design.
+    EnterPhase(ctx, RequestPhase::kExecuting);
+    SpanScope exec_span(ctx.trace, "execute");
+    exec_span.AddAttr("algorithm", plan.algorithm);
+    Timer exec_timer;
+    // Orientation-sensitive algorithms get swapped inputs when the plan
+    // builds on B; the symmetric ones are always planned with build_on_a.
+    // A distance join may enlarge either side, so swapping keeps the same
+    // result set.
+    if (plan.build_on_a) {
+      result.stats = DistanceJoin(*algorithm, ctx.snap_a->boxes,
+                                  ctx.snap_b->boxes, request.epsilon, out);
+    } else {
+      SwappedCollector swapped(out);
+      result.stats = DistanceJoin(*algorithm, ctx.snap_b->boxes,
+                                  ctx.snap_a->boxes, request.epsilon, swapped);
+    }
+    exec_span.End();
+    metrics_->histogram("touch_engine_execute_seconds")
+        .Observe(exec_timer.Seconds());
   }
-  exec_span.End();
-  metrics_->histogram("touch_engine_execute_seconds")
-      .Observe(exec_timer.Seconds());
   result.plan = std::move(plan);
   return result;
 }
 
-JoinResult QueryEngine::ExecuteTouch(JoinPlan plan, const JoinRequest& request,
-                                     ResultCollector& out,
-                                     const ExecContext& ctx) {
+namespace {
+
+/// What a cached family's build step hands back to ExecuteCached: whether
+/// its artifacts came from the cache, and the builds this request paid for
+/// (a hit reuses the artifact for free — the productized section-4.3
+/// shortcut).
+struct CacheUse {
+  bool hit = false;
+  /// Some but not all artifacts were cached (PBSM's two directories).
+  bool partial = false;
+  double build_seconds = 0.0;
+  double build_helper_seconds = 0.0;
+};
+
+}  // namespace
+
+template <typename Build, typename Probe>
+JoinResult QueryEngine::ExecuteCached(const JoinPlan& plan, const char* kind,
+                                      const ExecContext& ctx, Build&& build,
+                                      Probe&& probe) {
   JoinResult result;
   Timer total;
-  const Dataset& a = ctx.snap_a->boxes;
-  const Dataset& b = ctx.snap_b->boxes;
+  EnterPhase(ctx, RequestPhase::kBuildingIndex);
+  SpanScope build_span(ctx.trace, "build-index");
+  build_span.AddAttr("kind", kind);
+  Timer build_phase;
+  const CacheUse use = build(build_span);
+  result.index_cache_hit = use.hit;
+  result.partial_index_cache_hit = use.partial;
+  build_span.AddAttr("cache",
+                     use.hit ? "hit" : (use.partial ? "partial" : "miss"));
+  build_span.End();
+  metrics_->histogram("touch_engine_build_seconds")
+      .Observe(build_phase.Seconds());
+  // Boundary: index build → execute. Builds are shared artifacts and always
+  // run to completion (they stay cached for other requests); a cancel that
+  // arrived mid-build takes effect here.
+  if (ctx.cancel.stop_requested()) {
+    result.status = RequestStatus::kCancelled;
+    return result;
+  }
+  EnterPhase(ctx, RequestPhase::kExecuting);
+  SpanScope exec_span(ctx.trace, "execute");
+  exec_span.AddAttr("algorithm", plan.algorithm);
+  Timer exec_timer;
+  probe(result.stats);
+  exec_span.End();
+  metrics_->histogram("touch_engine_execute_seconds")
+      .Observe(exec_timer.Seconds());
+  result.stats.build_seconds = use.build_seconds;
+  result.stats.build_helper_seconds = use.build_helper_seconds;
+  result.stats.total_seconds = total.Seconds();
+  return result;
+}
+
+JoinResult QueryEngine::ExecuteTouch(const JoinPlan& plan,
+                                     const JoinRequest& request,
+                                     ResultCollector& out,
+                                     const ExecContext& ctx) {
   const DatasetHandle build_handle = plan.build_on_a ? request.a : request.b;
   const DatasetSnapshot& build_snap =
       plan.build_on_a ? *ctx.snap_a : *ctx.snap_b;
   const Dataset& build_src = build_snap.boxes;
+  const Dataset& probe_src = plan.build_on_a ? ctx.snap_b->boxes
+                                             : ctx.snap_a->boxes;
   // The distance join enlarges side A; when the tree is built over A the
   // enlargement is baked into the cached index (and into its cache key).
   const float build_epsilon = plan.build_on_a ? request.epsilon : 0.0f;
-
+  const float probe_epsilon = plan.build_on_a ? 0.0f : request.epsilon;
   const TouchOptions& touch_options = plan.touch;
   size_t leaf_capacity = touch_options.leaf_capacity;
   if (leaf_capacity == 0) {
@@ -1212,95 +1184,58 @@ JoinResult QueryEngine::ExecuteTouch(JoinPlan plan, const JoinRequest& request,
     leaf_capacity = (build_src.size() + partitions - 1) / partitions;
   }
   leaf_capacity = std::max<size_t>(1, leaf_capacity);
-
   const IndexCacheKey key{build_handle, build_snap.version, build_epsilon,
                           leaf_capacity, touch_options.fanout,
                           ArtifactKind::kTouchTree};
-  EnterPhase(ctx, RequestPhase::kBuildingIndex);
-  SpanScope build_span(ctx.trace, "build-index");
-  build_span.AddAttr("kind", "touch-tree");
   // Idle workers help the build and the join alike, unless the plan keeps
   // this request off them (shard pairs).
   PoolHelpers pool_helpers(pool_);
   MorselHelpers* helpers = plan.borrow_idle_workers ? &pool_helpers : nullptr;
-  Timer build_phase;
-  bool missed = false;
-  MorselReport build_report;
-  const IndexCache::ArtifactPtr artifact = cache_.GetOrBuild(
-      key,
-      [&]() -> IndexCache::ArtifactPtr {
-        missed = true;
-        Timer build_timer;
-        Dataset boxes = build_epsilon > 0
-                            ? EnlargedCopy(build_src, build_epsilon)
-                            : Dataset{};
-        const std::span<const Box> tree_input =
-            boxes.empty() ? std::span<const Box>(build_src)
-                          : std::span<const Box>(boxes);
-        // Builds are shared artifacts and always run to completion, so
-        // the STR morsels never poll the request's cancel.
-        TouchTree tree(tree_input, leaf_capacity, touch_options.fanout,
-                       helpers, &build_report);
-        return std::make_shared<CachedTouchIndex>(
-            std::move(boxes), std::move(tree), build_timer.Seconds(),
-            build_report.helper_seconds);
-      },
-      [&] { return PredictedBuildSeconds("touch", request); });
-  result.index_cache_hit = !missed;
-  build_span.AddAttr("cache", missed ? "miss" : "hit");
-  if (missed) build_report.Annotate(build_span);
-  build_span.End();
-  metrics_->histogram("touch_engine_build_seconds")
-      .Observe(build_phase.Seconds());
-  // Boundary: index build → execute. Builds are shared artifacts and always
-  // run to completion (the tree stays cached for other requests); a cancel
-  // that arrived mid-build takes effect here.
-  if (ctx.cancel.stop_requested()) {
-    result.status = RequestStatus::kCancelled;
-    result.plan = std::move(plan);
-    return result;
-  }
-  EnterPhase(ctx, RequestPhase::kExecuting);
-  SpanScope exec_span(ctx.trace, "execute");
-  exec_span.AddAttr("algorithm", "touch");
-  Timer exec_timer;
-  const auto* entry = static_cast<const CachedTouchIndex*>(artifact.get());
-
-  const std::span<const Box> tree_boxes =
-      entry->boxes.empty() ? std::span<const Box>(build_src)
-                           : std::span<const Box>(entry->boxes);
-  TouchJoin join(touch_options);
-  if (plan.build_on_a) {
-    result.stats = join.JoinWithPrebuiltTree(entry->tree, tree_boxes, b, out,
-                                             0.0f, ctx.cancel, helpers);
-  } else {
-    // The tree was built raw over B, so side A carries the distance-join
-    // enlargement — applied on the fly per probe box (as the cached INL
-    // path does), never as an O(|A|) copy: cache hits are allocation-free.
+  std::shared_ptr<const CachedTouchIndex> entry;
+  const auto build = [&](SpanScope& build_span) {
+    bool missed = false;
+    MorselReport report;
+    entry = std::static_pointer_cast<const CachedTouchIndex>(cache_.GetOrBuild(
+        key,
+        [&]() -> IndexCache::ArtifactPtr {
+          missed = true;
+          Timer build_timer;
+          Dataset boxes = EnlargedCopy(build_src, build_epsilon);
+          // Builds are shared artifacts and always run to completion, so
+          // the STR morsels never poll the request's cancel.
+          TouchTree tree(ArtifactBoxes(boxes, build_src), leaf_capacity,
+                         touch_options.fanout, helpers, &report);
+          return std::make_shared<CachedTouchIndex>(
+              std::move(boxes), std::move(tree), build_timer.Seconds(),
+              report.helper_seconds);
+        },
+        [&] { return PredictedBuildSeconds("touch", request); }));
+    CacheUse use{.hit = !missed};
+    if (missed) {
+      report.Annotate(build_span);
+      use.build_seconds = entry->wall_seconds;
+      use.build_helper_seconds = entry->helper_seconds;
+    }
+    return use;
+  };
+  const auto probe = [&](JoinStats& stats) {
+    // A tree built raw over B leaves side A's distance-join enlargement to
+    // the probe, applied on the fly per probe box (as the cached INL path
+    // does), never as an O(|A|) copy: cache hits are allocation-free.
     SwappedCollector swapped(out);
-    result.stats = join.JoinWithPrebuiltTree(entry->tree, tree_boxes, a,
-                                             swapped, request.epsilon,
-                                             ctx.cancel, helpers);
-  }
-  exec_span.End();
-  metrics_->histogram("touch_engine_execute_seconds")
-      .Observe(exec_timer.Seconds());
-  // A miss pays the build it triggered; a hit reuses the cached tree for
-  // free — the productized section-4.3 shortcut.
-  result.stats.build_seconds = missed ? entry->wall_seconds : 0.0;
-  result.stats.build_helper_seconds = missed ? entry->helper_seconds : 0.0;
-  result.stats.total_seconds = total.Seconds();
-  result.plan = std::move(plan);
-  return result;
+    stats = TouchJoin(touch_options)
+                .JoinWithPrebuiltTree(
+                    entry->tree, ArtifactBoxes(entry->boxes, build_src),
+                    probe_src, plan.build_on_a ? out : swapped, probe_epsilon,
+                    ctx.cancel, helpers);
+  };
+  return ExecuteCached(plan, "touch-tree", ctx, build, probe);
 }
 
-JoinResult QueryEngine::ExecuteInl(JoinPlan plan, const JoinRequest& request,
+JoinResult QueryEngine::ExecuteInl(const JoinPlan& plan,
+                                   const JoinRequest& request,
                                    ResultCollector& out,
                                    const ExecContext& ctx) {
-  JoinResult result;
-  Timer total;
-  const Dataset& a = ctx.snap_a->boxes;
-  const Dataset& b = ctx.snap_b->boxes;
   const DatasetHandle build_handle = plan.build_on_a ? request.a : request.b;
   const DatasetSnapshot& build_snap =
       plan.build_on_a ? *ctx.snap_a : *ctx.snap_b;
@@ -1311,92 +1246,59 @@ JoinResult QueryEngine::ExecuteInl(JoinPlan plan, const JoinRequest& request,
   // reusable across thresholds — with the enlargement moved into each probe
   // box (the intersection test is symmetric, so the result set is
   // identical).
+  const Dataset& probe_src = plan.build_on_a ? ctx.snap_b->boxes
+                                             : ctx.snap_a->boxes;
   const float build_epsilon = plan.build_on_a ? request.epsilon : 0.0f;
+  const float probe_epsilon = plan.build_on_a ? 0.0f : request.epsilon;
   const RTreeJoinOptions tree_options;  // defaults: the paper's best config
-
   const IndexCacheKey key{build_handle, build_snap.version, build_epsilon,
                           tree_options.leaf_capacity, tree_options.fanout,
                           ArtifactKind::kInlRTree};
-  EnterPhase(ctx, RequestPhase::kBuildingIndex);
-  SpanScope build_span(ctx.trace, "build-index");
-  build_span.AddAttr("kind", "inl-rtree");
-  Timer build_phase;
-  bool missed = false;
-  const IndexCache::ArtifactPtr artifact = cache_.GetOrBuild(
-      key,
-      [&]() -> IndexCache::ArtifactPtr {
-        missed = true;
-        Timer build_timer;
-        Dataset boxes = build_epsilon > 0
-                            ? EnlargedCopy(build_src, build_epsilon)
-                            : Dataset{};
-        const std::span<const Box> tree_input =
-            boxes.empty() ? std::span<const Box>(build_src)
-                          : std::span<const Box>(boxes);
-        RTree tree(tree_input, tree_options.leaf_capacity, tree_options.fanout,
-                   tree_options.bulkload);
-        return std::make_shared<CachedInlIndex>(
-            std::move(boxes), std::move(tree),
-            std::span<const Box>(build_src), build_timer.Seconds());
-      },
-      [&] { return PredictedBuildSeconds("inl", request); });
-  result.index_cache_hit = !missed;
-  build_span.AddAttr("cache", missed ? "miss" : "hit");
-  build_span.End();
-  metrics_->histogram("touch_engine_build_seconds")
-      .Observe(build_phase.Seconds());
-  // Boundary: index build → execute (builds always run to completion and
-  // stay cached; see ExecuteTouch).
-  if (ctx.cancel.stop_requested()) {
-    result.status = RequestStatus::kCancelled;
-    result.plan = std::move(plan);
-    return result;
-  }
-  EnterPhase(ctx, RequestPhase::kExecuting);
-  SpanScope exec_span(ctx.trace, "execute");
-  exec_span.AddAttr("algorithm", "inl");
-  Timer exec_timer;
-  const auto* entry = static_cast<const CachedInlIndex*>(artifact.get());
-  JoinStats& stats = result.stats;
-  Timer join_timer;
-  // The probe loop is the INL kernel; it lives inline here, so its span
-  // does too (the library's IndexedNestedLoopJoin opens its own). The
-  // batched probe polls cancellation at the same power-of-two query stride
-  // the scalar loops used, and emits in RTree::Query's DFS order.
-  SpanScope probe_span("inl-probe");
-  if (plan.build_on_a) {
-    BatchedTreeProbe(entry->tree, entry->slabs, b, /*probe_epsilon=*/0.0f,
-                     /*swap_emit=*/false, &stats, out, ctx.cancel);
-  } else {
-    BatchedTreeProbe(entry->tree, entry->slabs, a, request.epsilon,
-                     /*swap_emit=*/true, &stats, out, ctx.cancel);
-  }
-  probe_span.End();
-  stats.join_seconds = join_timer.Seconds();
-  exec_span.End();
-  metrics_->histogram("touch_engine_execute_seconds")
-      .Observe(exec_timer.Seconds());
-  // Tree, any owned enlarged copy, and the probe slabs — the same
-  // accounting the cache uses.
-  stats.memory_bytes = entry->MemoryUsageBytes();
-  stats.build_seconds = missed ? entry->build_seconds : 0.0;
-  stats.total_seconds = total.Seconds();
-  result.plan = std::move(plan);
-  return result;
+  std::shared_ptr<const CachedInlIndex> entry;
+  const auto build = [&](SpanScope&) {
+    bool missed = false;
+    entry = std::static_pointer_cast<const CachedInlIndex>(cache_.GetOrBuild(
+        key,
+        [&]() -> IndexCache::ArtifactPtr {
+          missed = true;
+          Timer build_timer;
+          Dataset boxes = EnlargedCopy(build_src, build_epsilon);
+          RTree tree(ArtifactBoxes(boxes, build_src),
+                     tree_options.leaf_capacity, tree_options.fanout,
+                     tree_options.bulkload);
+          return std::make_shared<CachedInlIndex>(
+              std::move(boxes), std::move(tree),
+              std::span<const Box>(build_src), build_timer.Seconds());
+        },
+        [&] { return PredictedBuildSeconds("inl", request); }));
+    return CacheUse{.hit = !missed,
+                    .build_seconds = missed ? entry->build_seconds : 0.0};
+  };
+  const auto probe = [&](JoinStats& stats) {
+    Timer join_timer;
+    // The probe loop is the INL kernel; it lives inline here, so its span
+    // does too (the library's IndexedNestedLoopJoin opens its own). The
+    // batched probe polls cancellation at the same power-of-two query
+    // stride the scalar loops used, and emits in RTree::Query's DFS order.
+    SpanScope probe_span("inl-probe");
+    BatchedTreeProbe(entry->tree, entry->slabs, probe_src, probe_epsilon,
+                     /*swap_emit=*/!plan.build_on_a, &stats, out, ctx.cancel);
+    probe_span.End();
+    stats.join_seconds = join_timer.Seconds();
+    // Tree, any owned enlarged copy, and the probe slabs — the same
+    // accounting the cache uses.
+    stats.memory_bytes = entry->MemoryUsageBytes();
+  };
+  return ExecuteCached(plan, "inl-rtree", ctx, build, probe);
 }
 
-JoinResult QueryEngine::ExecutePbsm(JoinPlan plan, const JoinRequest& request,
+JoinResult QueryEngine::ExecutePbsm(const JoinPlan& plan,
+                                    const JoinRequest& request,
                                     int resolution, ResultCollector& out,
                                     const ExecContext& ctx) {
-  JoinResult result;
-  Timer total;
   const Dataset& a = ctx.snap_a->boxes;
   const Dataset& b = ctx.snap_b->boxes;
-  if (a.empty() || b.empty()) {
-    result.stats.total_seconds = total.Seconds();
-    result.plan = std::move(plan);
-    return result;
-  }
+  if (a.empty() || b.empty()) return JoinResult{};
   // The joint grid domain, derived from the pinned stats instead of a
   // rescan. This is bit-identical to PbsmJoin's internal joint MBR: the
   // stats extents are exact, and enlarging the extent equals the extent of
@@ -1407,17 +1309,13 @@ JoinResult QueryEngine::ExecutePbsm(JoinPlan plan, const JoinRequest& request,
   const GridMapper grid(domain, resolution);
   const size_t signature = DomainSignature(domain);
 
-  bool missed_a = false;
-  bool missed_b = false;
   const auto build_directory = [&](float epsilon, const Dataset& src) {
     Timer build_timer;
     auto built = std::make_shared<CachedPbsmDirectory>();
     built->domain = domain;
-    built->boxes = epsilon > 0 ? EnlargedCopy(src, epsilon) : Dataset{};
-    const std::span<const Box> input =
-        built->boxes.empty() ? std::span<const Box>(src)
-                             : std::span<const Box>(built->boxes);
-    built->placements = BuildPbsmPlacements(input, grid);
+    built->boxes = EnlargedCopy(src, epsilon);
+    built->placements =
+        BuildPbsmPlacements(ArtifactBoxes(built->boxes, src), grid);
     built->build_seconds = build_timer.Seconds();
     return built;
   };
@@ -1447,58 +1345,33 @@ JoinResult QueryEngine::ExecutePbsm(JoinPlan plan, const JoinRequest& request,
     *missed = true;
     return build_directory(epsilon, src);
   };
-  // A's directory carries the enlargement; B's is epsilon-independent. A
-  // self-join with epsilon 0 collapses both onto one cache entry.
-  EnterPhase(ctx, RequestPhase::kBuildingIndex);
-  SpanScope build_span(ctx.trace, "build-index");
-  build_span.AddAttr("kind", "pbsm-directory");
-  Timer build_phase;
-  const auto dir_a = directory(request.a, ctx.snap_a->version,
-                               request.epsilon, a, &missed_a);
-  const auto dir_b = directory(request.b, ctx.snap_b->version, 0.0f, b,
-                               &missed_b);
-  result.index_cache_hit = !missed_a && !missed_b;
-  result.partial_index_cache_hit = missed_a != missed_b;
-  build_span.AddAttr("cache", result.index_cache_hit
-                                  ? "hit"
-                                  : (result.partial_index_cache_hit
-                                         ? "partial"
-                                         : "miss"));
-  build_span.End();
-  metrics_->histogram("touch_engine_build_seconds")
-      .Observe(build_phase.Seconds());
-  // Boundary: index build → execute (directories always run to completion
-  // and stay cached; see ExecuteTouch).
-  if (ctx.cancel.stop_requested()) {
-    result.status = RequestStatus::kCancelled;
-    result.plan = std::move(plan);
-    return result;
-  }
-  EnterPhase(ctx, RequestPhase::kExecuting);
-  SpanScope exec_span(ctx.trace, "execute");
-  exec_span.AddAttr("algorithm", plan.algorithm);
-  Timer exec_timer;
-
-  const std::span<const Box> span_a =
-      dir_a->boxes.empty() ? std::span<const Box>(a)
-                           : std::span<const Box>(dir_a->boxes);
-  JoinStats& stats = result.stats;
-  Timer join_timer;
-  PbsmMergeJoin(span_a, dir_a->placements, b, dir_b->placements, grid,
-                LocalJoinStrategy::kPlaneSweep, &stats, out, ctx.cancel);
-  stats.join_seconds = join_timer.Seconds();
-  exec_span.End();
-  metrics_->histogram("touch_engine_execute_seconds")
-      .Observe(exec_timer.Seconds());
-  // Both resident directories (placements + owned enlarged copies), the
-  // cache's own accounting; unlike PbsmJoin::Join, no transient radix-sort
-  // scratch is in play on the cached path.
-  stats.memory_bytes = dir_a->MemoryUsageBytes() + dir_b->MemoryUsageBytes();
-  stats.build_seconds = (missed_a ? dir_a->build_seconds : 0.0) +
-                        (missed_b ? dir_b->build_seconds : 0.0);
-  stats.total_seconds = total.Seconds();
-  result.plan = std::move(plan);
-  return result;
+  std::shared_ptr<const CachedPbsmDirectory> dir_a;
+  std::shared_ptr<const CachedPbsmDirectory> dir_b;
+  const auto build = [&](SpanScope&) {
+    // A's directory carries the enlargement; B's is epsilon-independent. A
+    // self-join with epsilon 0 collapses both onto one cache entry.
+    bool missed_a = false;
+    bool missed_b = false;
+    dir_a = directory(request.a, ctx.snap_a->version, request.epsilon, a,
+                      &missed_a);
+    dir_b = directory(request.b, ctx.snap_b->version, 0.0f, b, &missed_b);
+    return CacheUse{.hit = !missed_a && !missed_b,
+                    .partial = missed_a != missed_b,
+                    .build_seconds = (missed_a ? dir_a->build_seconds : 0.0) +
+                                     (missed_b ? dir_b->build_seconds : 0.0)};
+  };
+  const auto probe = [&](JoinStats& stats) {
+    Timer join_timer;
+    PbsmMergeJoin(ArtifactBoxes(dir_a->boxes, a), dir_a->placements, b,
+                  dir_b->placements, grid, LocalJoinStrategy::kPlaneSweep,
+                  &stats, out, ctx.cancel);
+    stats.join_seconds = join_timer.Seconds();
+    // Both resident directories (placements + owned enlarged copies), the
+    // cache's own accounting; unlike PbsmJoin::Join, no transient
+    // radix-sort scratch is in play on the cached path.
+    stats.memory_bytes = dir_a->MemoryUsageBytes() + dir_b->MemoryUsageBytes();
+  };
+  return ExecuteCached(plan, "pbsm-directory", ctx, build, probe);
 }
 
 }  // namespace touch

@@ -58,10 +58,6 @@ struct EngineOptions {
   /// Worker threads for submitted requests; <= 0 uses hardware concurrency.
   int threads = 0;
   PlannerOptions planner;
-  /// Reuse built index artifacts (TOUCH trees, INL R-trees, PBSM cell
-  /// directories) across queries (the paper's prebuilt-index ablation,
-  /// productized). Off forces every query to build cold.
-  bool cache_indexes = true;
   /// Byte cap on the index cache (0 = unbounded). Once resident artifacts
   /// exceed it, the lowest build-cost-density ones are evicted (ties fall
   /// back to LRU); see IndexCache.
@@ -301,9 +297,10 @@ class BatchHandle {
 /// RequestHandle — a per-request std::future that completes independently
 /// of every other request (a slow join never delays a fast one's result)
 /// plus the request's cancellation side — with an optional engine-owned
-/// ResultSink for pair delivery and a completion-callback overload.
-/// Execute/ExecuteBatch are thin synchronous wrappers over
-/// Submit/SubmitBatch.
+/// ResultSink for pair delivery and an optional completion callback.
+/// Execute and ExecuteFixed are thin synchronous wrappers over Submit and
+/// SubmitPlanned, so every one-shot request runs the same pipeline on a
+/// pool worker.
 ///
 /// Request lifecycle: queued → planning → building-index → executing →
 /// completed, with cancelled reachable from every non-terminal phase. The
@@ -378,18 +375,14 @@ class QueryEngine {
   /// the join finishes — independently of any other request — and whose
   /// Cancel() abandons it (see RequestHandle for the lifecycle semantics).
   /// `sink` (optional) receives every result pair and then OnComplete; the
-  /// engine owns it until completion. Failures complete the future with
+  /// engine owns it until completion. `on_complete` (optional) runs on the
+  /// delivering thread right after the sink's OnComplete, in addition to
+  /// the handle's future. Failures complete the future with
   /// JoinResult::status = kError; the future never throws and always
   /// completes (the engine's destructor drains outstanding requests).
   RequestHandle Submit(const JoinRequest& request,
-                       std::unique_ptr<ResultSink> sink = nullptr);
-
-  /// Completion-callback overload: `on_complete` runs on the delivering
-  /// thread right after the sink's OnComplete, in addition to the handle's
-  /// future.
-  RequestHandle Submit(const JoinRequest& request,
-                       std::unique_ptr<ResultSink> sink,
-                       CompletionCallback on_complete);
+                       std::unique_ptr<ResultSink> sink = nullptr,
+                       CompletionCallback on_complete = nullptr);
 
   /// Submits a request that was planned elsewhere: execution skips the
   /// planning phase and runs `plan` as-is (lifecycle, cancellation,
@@ -397,7 +390,8 @@ class QueryEngine {
   /// scatter path — shard pairs are planned centrally from serialized
   /// shard stats and must execute the plan they were scattered with, not a
   /// replan. The plan's algorithm must be a MakeAlgorithm name; unknown
-  /// names complete the future with kError.
+  /// names complete the future with kError, and so does a continuous
+  /// request (a standing query has no one-shot plan to run).
   RequestHandle SubmitPlanned(JoinPlan plan, const JoinRequest& request,
                               std::unique_ptr<ResultSink> sink = nullptr);
 
@@ -419,15 +413,11 @@ class QueryEngine {
 
   /// Executes with a fixed algorithm ("auto" falls back to the planner).
   /// Unknown names fill JoinResult::error — with the accepted list — and
-  /// execute nothing.
+  /// execute nothing. Thin wrapper: a fixed plan through SubmitPlanned +
+  /// future wait, so deadline, cancellation and helpers behave as for any
+  /// submitted request; the root span carries `fixed=true`.
   JoinResult ExecuteFixed(const std::string& algorithm,
                           const JoinRequest& request, ResultCollector& out);
-
-  /// Plans and executes all requests concurrently on the worker pool,
-  /// blocking until every one finished. Results are counted, not
-  /// materialized (see stats.results); the output order matches `requests`.
-  /// Thin wrapper: SubmitBatch + wait on every future.
-  std::vector<JoinResult> ExecuteBatch(std::span<const JoinRequest> requests);
 
   // --- Introspection -----------------------------------------------------
 
@@ -464,9 +454,8 @@ class QueryEngine {
   const WorkerPool& pool() const { return pool_; }
 
  private:
-  /// Cancellation token plus (for submitted requests) the shared state the
-  /// phase transitions are published through; synchronous fixed runs use a
-  /// default-constructed context (never cancelled, no phase publishing).
+  /// A running request's cancellation token and the shared state its phase
+  /// transitions are published through.
   struct ExecContext {
     CancellationToken cancel;
     internal::RequestState* state = nullptr;
@@ -481,37 +470,52 @@ class QueryEngine {
     DatasetSnapshotPtr snap_b;
   };
 
-  RequestHandle SubmitInternal(const JoinRequest& request,
-                               std::unique_ptr<ResultSink> sink,
-                               CompletionCallback on_complete,
-                               std::unique_ptr<JoinPlan> preplanned = nullptr);
+  /// The one initialiser of a request's shared state (sink, callback,
+  /// deadline, trace identity), for one-shot and continuous requests alike.
+  std::shared_ptr<internal::RequestState> NewRequestState(
+      const JoinRequest& request, std::unique_ptr<ResultSink> sink,
+      CompletionCallback on_complete) const;
+  /// Enqueues a one-shot request; the worker that claims it runs
+  /// ExecuteRequest. A continuous request that arrives here (only a planned
+  /// one can) completes with kError instead.
+  RequestHandle Enqueue(std::shared_ptr<internal::RequestState> state);
+  /// Plans over pinned stats, consulting the fitted cost models when
+  /// calibration is on.
+  JoinPlan PlanFromStats(const DatasetStats& stats_a,
+                         const DatasetStats& stats_b, float epsilon) const;
   /// Publishes a phase transition (request state + phase_observer).
   void EnterPhase(const ExecContext& ctx, RequestPhase phase) const;
-  /// The per-request core every path funnels into: validates, plans (or
-  /// adopts `preplanned`), executes, converts failures into
-  /// JoinResult::error and cooperative cancellation into status =
-  /// kCancelled.
+  /// The per-request core every one-shot request funnels into: validates,
+  /// plans (or adopts `preplanned`), measures the first result, runs the
+  /// plan's family executor, and converts failures into JoinResult::error
+  /// and cooperative cancellation into status = kCancelled.
   JoinResult ExecuteRequest(const JoinRequest& request, ResultCollector& out,
-                            const ExecContext& ctx,
-                            const JoinPlan* preplanned = nullptr);
-  /// Wraps `out` in the first-result-latency measurement (the generic
-  /// replacement for NBPS's private first_result_seconds), then dispatches
-  /// to ExecutePlannedImpl.
-  JoinResult ExecutePlanned(JoinPlan plan, const JoinRequest& request,
-                            ResultCollector& out, const ExecContext& ctx);
-  JoinResult ExecutePlannedImpl(JoinPlan plan, const JoinRequest& request,
-                                ResultCollector& out, const ExecContext& ctx);
-  JoinResult ExecuteTouch(JoinPlan plan, const JoinRequest& request,
+                            const ExecContext& ctx, JoinPlan* preplanned);
+  /// Runs `plan` by its join family: TOUCH, INL and PBSM over cached index
+  /// artifacts, every other algorithm through the library.
+  JoinResult ExecuteFamily(JoinPlan plan, const JoinRequest& request,
+                           ResultCollector& out, const ExecContext& ctx);
+  /// The build-index → execute sequence the cached families share: phases,
+  /// spans, histograms, the cancel boundary between the two, and the
+  /// build/total times. `build(span)` fetches or builds the family's
+  /// artifacts and returns a CacheUse; `probe(stats)` runs the join.
+  template <typename Build, typename Probe>
+  JoinResult ExecuteCached(const JoinPlan& plan, const char* kind,
+                           const ExecContext& ctx, Build&& build,
+                           Probe&& probe);
+  JoinResult ExecuteTouch(const JoinPlan& plan, const JoinRequest& request,
                           ResultCollector& out, const ExecContext& ctx);
-  JoinResult ExecuteInl(JoinPlan plan, const JoinRequest& request,
+  JoinResult ExecuteInl(const JoinPlan& plan, const JoinRequest& request,
                         ResultCollector& out, const ExecContext& ctx);
-  JoinResult ExecutePbsm(JoinPlan plan, const JoinRequest& request,
+  JoinResult ExecutePbsm(const JoinPlan& plan, const JoinRequest& request,
                          int resolution, ResultCollector& out,
                          const ExecContext& ctx);
-  /// Feeds one finished request's measurements into the feedback store
-  /// (fully cold, successful runs only; cancelled runs have partial stats
-  /// and are never evidence).
-  void RecordOutcome(const JoinRequest& request, const JoinResult& result);
+  /// Feeds one finished request's measurements, over the stats of the
+  /// dataset versions it ran on, into the feedback store (fully cold,
+  /// successful runs only; cancelled runs have partial stats and are never
+  /// evidence).
+  void RecordOutcome(const DatasetStats& stats_a, const DatasetStats& stats_b,
+                     float epsilon, const JoinResult& result);
   /// Fitted build-cost prediction for the cache's pre-admission policy
   /// (0 when admission or calibration is off, or the family is unmeasured).
   double PredictedBuildSeconds(const char* family,
@@ -519,9 +523,7 @@ class QueryEngine {
   /// Continuous-submit path: registers the standing query and emits the
   /// initial pair set as kAdded deltas (under the mutation serialization,
   /// so no batch can interleave with the baseline).
-  RequestHandle SubmitContinuous(const JoinRequest& request,
-                                 std::unique_ptr<ResultSink> sink,
-                                 CompletionCallback on_complete);
+  RequestHandle SubmitContinuous(std::shared_ptr<internal::RequestState> state);
   /// Emits one subscription's delta burst for a folded mutation batch.
   /// Returns the number of deltas emitted. delta_sink_mutex_ held.
   size_t DeltaProbeLocked(internal::ContinuousSub& sub,

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <memory>
 
 namespace touch {
@@ -29,12 +30,28 @@ IoStatus OpenError(const std::string& path, const char* action) {
                          action);
 }
 
+// An empty vector's data() may be null, which fwrite/fread must not get.
 bool WriteRaw(std::FILE* f, const void* data, size_t bytes) {
-  return std::fwrite(data, 1, bytes, f) == bytes;
+  return bytes == 0 || std::fwrite(data, 1, bytes, f) == bytes;
 }
 
 bool ReadRaw(std::FILE* f, void* data, size_t bytes) {
-  return std::fread(data, 1, bytes, f) == bytes;
+  return bytes == 0 || std::fread(data, 1, bytes, f) == bytes;
+}
+
+/// Bytes from the read position to the end of the file, so that a declared
+/// record count is checked before anything is allocated for it. A stream
+/// that cannot seek (a pipe) reports no bound.
+uint64_t BytesLeft(std::FILE* f) {
+  const long here = std::ftell(f);
+  if (here < 0 || std::fseek(f, 0, SEEK_END) != 0) {
+    return std::numeric_limits<uint64_t>::max();
+  }
+  const long end = std::ftell(f);
+  if (std::fseek(f, here, SEEK_SET) != 0 || end < here) {
+    return std::numeric_limits<uint64_t>::max();
+  }
+  return static_cast<uint64_t>(end - here);
 }
 
 IoStatus WriteHeader(std::FILE* f, const char magic[4],
@@ -86,6 +103,12 @@ IoStatus ReadBoxesBinary(const std::string& path, std::vector<Box>* boxes) {
   uint64_t count = 0;
   if (!ReadRaw(f.get(), &count, sizeof(count))) {
     return IoStatus::Error("'" + path + "' is truncated (no count)");
+  }
+  if (count > BytesLeft(f.get()) / sizeof(Box)) {
+    boxes->clear();
+    return IoStatus::Error("'" + path + "' is truncated (payload shorter " +
+                           "than its declared " + std::to_string(count) +
+                           " boxes)");
   }
   boxes->assign(count, Box());
   if (!ReadRaw(f.get(), boxes->data(), count * sizeof(Box))) {
@@ -165,6 +188,15 @@ IoStatus ReadNeuroModelBinary(const std::string& path, NeuroModel* model) {
   if (!ReadRaw(f.get(), &axons, sizeof(axons)) ||
       !ReadRaw(f.get(), &dendrites, sizeof(dendrites))) {
     return IoStatus::Error("'" + path + "' is truncated (no counts)");
+  }
+  const uint64_t records = BytesLeft(f.get()) / sizeof(Cylinder);
+  if (axons > records || dendrites > records - axons) {
+    model->axons.clear();
+    model->dendrites.clear();
+    return IoStatus::Error("'" + path + "' is truncated (payload shorter " +
+                           "than its declared " + std::to_string(axons) +
+                           " axons and " + std::to_string(dendrites) +
+                           " dendrites)");
   }
   model->axons.assign(axons, Cylinder());
   model->dendrites.assign(dendrites, Cylinder());

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <initializer_list>
 #include <string>
+#include <utility>
 
 #include "datagen/distributions.h"
 #include "test_util.h"
@@ -78,6 +81,31 @@ TEST(BoxBinaryIoTest, TruncatedPayloadFails) {
   EXPECT_TRUE(loaded.empty());  // no partial results
 }
 
+// A header followed by the given 64-bit counts and a few stray bytes: a
+// file far shorter than the records it declares.
+void WriteDeclaredCounts(const std::string& path, const char magic[4],
+                         std::initializer_list<uint64_t> counts) {
+  std::ofstream out(path, std::ios::binary);
+  const uint32_t version = 1;
+  out.write(magic, 4);
+  out.write(reinterpret_cast<const char*>(&version), sizeof(version));
+  for (const uint64_t count : counts) {
+    out.write(reinterpret_cast<const char*>(&count), sizeof(count));
+  }
+  out.write("abcd", 4);
+}
+
+TEST(BoxBinaryIoTest, HugeDeclaredCountFailsBeforeAllocating) {
+  TempFile file("huge_count.bin");
+  WriteDeclaredCounts(file.path(), "TSJB", {uint64_t{1} << 40});
+  Dataset loaded = {CenteredBox(1, 1, 1)};
+  IoStatus status;
+  EXPECT_NO_THROW(status = ReadBoxesBinary(file.path(), &loaded));
+  EXPECT_FALSE(status.ok);
+  EXPECT_NE(status.message.find("truncated"), std::string::npos);
+  EXPECT_TRUE(loaded.empty());
+}
+
 TEST(BoxCsvIoTest, RoundTripsWithFloatFidelity) {
   const Dataset boxes = GenerateSynthetic(Distribution::kGaussian, 500, 9);
   TempFile file("boxes.csv");
@@ -128,6 +156,23 @@ TEST(NeuroIoTest, RoundTripsModel) {
   for (size_t i = 0; i < model.axons.size(); ++i) {
     EXPECT_EQ(loaded.axons[i].Mbr(), model.axons[i].Mbr());
     EXPECT_EQ(loaded.axons[i].radius, model.axons[i].radius);
+  }
+}
+
+TEST(NeuroIoTest, HugeDeclaredCountsFailBeforeAllocating) {
+  TempFile file("huge_model.bin");
+  // One count past the file, and a pair whose sum wraps around 2^64.
+  for (const auto& [axons, dendrites] :
+       {std::pair<uint64_t, uint64_t>{uint64_t{1} << 40, 1},
+        std::pair<uint64_t, uint64_t>{1, ~uint64_t{0}}}) {
+    WriteDeclaredCounts(file.path(), "TSJC", {axons, dendrites});
+    NeuroModel loaded;
+    IoStatus status;
+    EXPECT_NO_THROW(status = ReadNeuroModelBinary(file.path(), &loaded));
+    EXPECT_FALSE(status.ok);
+    EXPECT_NE(status.message.find("truncated"), std::string::npos);
+    EXPECT_TRUE(loaded.axons.empty());
+    EXPECT_TRUE(loaded.dendrites.empty());
   }
 }
 

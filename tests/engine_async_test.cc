@@ -6,6 +6,7 @@
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -174,14 +175,14 @@ TEST_F(QueryEngineAsyncTest, SubmitBatchFuturesAreIndexAligned) {
   }
 }
 
-TEST_F(QueryEngineAsyncTest, ExecuteBatchOnSubmitKeepsObservableBehavior) {
+TEST_F(QueryEngineAsyncTest, SubmitBatchGetAllKeepsObservableBehavior) {
   QueryEngine engine;
   const DatasetHandle a = engine.RegisterDataset("small", small_);
   const DatasetHandle b = engine.RegisterDataset("large", large_);
   const std::vector<JoinRequest> requests = {
       {a, b, 2.0f}, {b, a, 1.0f}, {a, a, 0.5f}, {a, b, 2.0f}};
 
-  const std::vector<JoinResult> batch = engine.ExecuteBatch(requests);
+  const std::vector<JoinResult> batch = engine.SubmitBatch(requests).GetAll();
   ASSERT_EQ(batch.size(), requests.size());
   for (size_t i = 0; i < requests.size(); ++i) {
     ASSERT_TRUE(batch[i].error.empty()) << i;
@@ -207,6 +208,29 @@ TEST_F(QueryEngineAsyncTest, FailedRequestCompletesSinkFutureAndCallback) {
   EXPECT_TRUE(callback_ran);
   EXPECT_EQ(log.completions, 1);
   EXPECT_FALSE(log.last_result.error.empty());
+  EXPECT_TRUE(log.pairs.empty());
+}
+
+TEST_F(QueryEngineAsyncTest, ContinuousPlannedRequestCompletesItsSinkOnce) {
+  QueryEngine engine;
+  const DatasetHandle a = engine.RegisterDataset("small", small_);
+  const DatasetHandle b = engine.RegisterDataset("large", large_);
+  JoinRequest request{a, b, 1.0f};
+  request.continuous = true;
+  JoinPlan plan;
+  plan.algorithm = "touch";
+  SinkLog log;
+  const JoinResult result =
+      engine.SubmitPlanned(plan, request, std::make_unique<RecordingSink>(&log))
+          .Get();
+  EXPECT_EQ(result.status, RequestStatus::kError);
+  EXPECT_NE(result.error.find("planned requests cannot be continuous"),
+            std::string::npos)
+      << result.error;
+  // The caller's sink, not a stand-in, saw the error exactly once.
+  EXPECT_EQ(log.completions, 1);
+  EXPECT_EQ(log.last_result.status, RequestStatus::kError);
+  EXPECT_EQ(log.last_result.error, result.error);
   EXPECT_TRUE(log.pairs.empty());
 }
 

@@ -236,6 +236,22 @@ TEST_F(EngineCancelTest, ExpiredDeadlineCancelsWithoutAnyCancelCall) {
   EXPECT_TRUE(result.cancelled());
 }
 
+TEST_F(EngineCancelTest, FixedRunHonoursAnExpiredDeadline) {
+  QueryEngine engine;
+  const DatasetHandle a = engine.RegisterDataset("small", small_);
+  JoinRequest request{a, a, 1.0f};
+  request.deadline =
+      std::chrono::steady_clock::now() - std::chrono::milliseconds(1);
+  // A fixed run is a planned submission, so its deadline stops it like
+  // any submitted request's, before anything is emitted.
+  for (const char* algorithm : {"touch", "inl", "pbsm-100", "ps"}) {
+    CountingCollector out;
+    const JoinResult result = engine.ExecuteFixed(algorithm, request, out);
+    EXPECT_EQ(result.status, RequestStatus::kCancelled) << algorithm;
+    EXPECT_EQ(out.count(), 0u) << algorithm;
+  }
+}
+
 TEST_F(EngineCancelTest, DeadlineHoldsWhenCallerAbandonsTheHandle) {
   // The worker is parked in the planning phase (entered unconditionally
   // right after the claim, so the park cannot be raced by the deadline);

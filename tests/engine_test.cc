@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdint>
 #include <string>
+#include <vector>
 
 #include "datagen/distributions.h"
 #include "join/nested_loop.h"
@@ -141,18 +144,25 @@ TEST_F(QueryEngineTest, BuildOnACacheDistinguishesEpsilon) {
   EXPECT_EQ(engine.cache_stats().entries, 2u);
 }
 
-TEST_F(QueryEngineTest, DisabledCacheStillProducesIdenticalResults) {
-  EngineOptions options;
-  options.cache_indexes = false;
-  QueryEngine engine(options);
+TEST_F(QueryEngineTest, ClearedCacheRunsColdWithIdenticalResults) {
+  QueryEngine engine;
   const DatasetHandle a = engine.RegisterDataset("small", small_);
   const DatasetHandle b = engine.RegisterDataset("large", large_);
 
+  VectorCollector first;
+  ASSERT_TRUE(engine.Execute({a, b, 2.0f}, first).ok());
+  engine.ClearIndexCache();
+  EXPECT_EQ(engine.cache_stats().entries, 0u);
+
+  // The run after the clear rebuilds its index and emits the same pairs,
+  // in the same order, as the first cold run.
   VectorCollector out;
   const JoinResult result = engine.Execute({a, b, 2.0f}, out);
-  ASSERT_TRUE(result.error.empty());
+  ASSERT_TRUE(result.ok()) << result.error;
   EXPECT_FALSE(result.index_cache_hit);
-  EXPECT_EQ(engine.cache_stats().misses, 0u);
+  EXPECT_GT(result.stats.build_seconds, 0.0);
+  EXPECT_EQ(engine.cache_stats().misses, 2u);
+  EXPECT_EQ(out.pairs(), first.pairs());
   EXPECT_EQ(SortedPairs(out), DistanceOracle(small_, large_, 2.0f));
 }
 
@@ -169,7 +179,7 @@ TEST_F(QueryEngineTest, BatchMatchesIndividualExecution) {
   const std::vector<JoinRequest> reference_requests = {
       {ra, rb, 2.0f}, {rb, ra, 1.0f}, {ra, ra, 0.5f}, {ra, rb, 2.0f}};
 
-  const std::vector<JoinResult> batch = engine.ExecuteBatch(requests);
+  const std::vector<JoinResult> batch = engine.SubmitBatch(requests).GetAll();
   ASSERT_EQ(batch.size(), requests.size());
   for (size_t i = 0; i < requests.size(); ++i) {
     ASSERT_TRUE(batch[i].error.empty()) << i;
@@ -191,6 +201,59 @@ TEST_F(QueryEngineTest, ExecuteFixedRunsTheNamedAlgorithm) {
   ASSERT_TRUE(result.error.empty());
   EXPECT_EQ(result.plan.algorithm, "ps");
   EXPECT_EQ(SortedPairs(out), DistanceOracle(small_, large_, 2.0f));
+}
+
+// FNV-1a over the ids of a pair sequence, in order.
+uint64_t SequenceHash(const std::vector<IdPair>& sequence) {
+  uint64_t hash = 1469598103934665603ull;
+  for (const auto& [a_id, b_id] : sequence) {
+    for (const uint32_t id : {a_id, b_id}) {
+      for (int byte = 0; byte < 4; ++byte) {
+        hash ^= (id >> (8 * byte)) & 0xffu;
+        hash *= 1099511628211ull;
+      }
+    }
+  }
+  return hash;
+}
+
+// The goldens pin each fixed run's pair sequence and counters, cold and
+// warm: which thread runs the request, and who helps it, must not change
+// what it emits.
+TEST_F(QueryEngineTest, FixedRunsKeepTheirPairSequenceAndCounters) {
+  struct Golden {
+    const char* algorithm;
+    uint64_t hash;
+    uint64_t comparisons;
+    uint64_t node_comparisons;
+    uint64_t filtered;
+    size_t memory_bytes;
+  };
+  const Golden goldens[] = {
+      {"touch", 0xfde90b7af966ccbdull, 1480, 29810, 4, 2129564},
+      {"inl", 0x79e000a782591855ull, 502208, 141492, 0, 216960},
+      {"pbsm-100", 0x20af0c39204c336dull, 692, 0, 0, 620288},
+      {"ps", 0xe6ddbf01fef01ef9ull, 651805, 0, 0, 48000},
+  };
+  for (const Golden& golden : goldens) {
+    QueryEngine engine;
+    const DatasetHandle a = engine.RegisterDataset("small", small_);
+    const DatasetHandle b = engine.RegisterDataset("large", large_);
+    for (const bool warm : {false, true}) {
+      SCOPED_TRACE(testing::Message() << golden.algorithm << " warm " << warm);
+      VectorCollector out;
+      const JoinResult result =
+          engine.ExecuteFixed(golden.algorithm, {a, b, 2.0f}, out);
+      ASSERT_TRUE(result.ok()) << result.error;
+      EXPECT_EQ(result.plan.algorithm, golden.algorithm);
+      EXPECT_EQ(SequenceHash(out.pairs()), golden.hash);
+      EXPECT_EQ(result.stats.results, 432u);
+      EXPECT_EQ(result.stats.comparisons, golden.comparisons);
+      EXPECT_EQ(result.stats.node_comparisons, golden.node_comparisons);
+      EXPECT_EQ(result.stats.filtered, golden.filtered);
+      EXPECT_EQ(result.stats.memory_bytes, golden.memory_bytes);
+    }
+  }
 }
 
 TEST_F(QueryEngineTest, ExecuteFixedReportsUnknownNames) {

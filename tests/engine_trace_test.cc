@@ -110,6 +110,41 @@ TEST_F(EngineTraceTest, TracedRequestProducesARootedPhaseSpanTree) {
             1u);
 }
 
+TEST_F(EngineTraceTest, FixedRunIsASubmittedRequestMarkedFixed) {
+  QueryEngine engine(TracedOptions());
+  const DatasetHandle a = engine.RegisterDataset("small", small_);
+  const DatasetHandle b = engine.RegisterDataset("large", large_);
+  CountingCollector out;
+  const JoinResult result = engine.ExecuteFixed("inl", {a, b, 2.0f}, out);
+  ASSERT_TRUE(result.ok()) << result.error;
+
+  const TraceView view(*tracer_);
+  ExpectWellFormed(view, result.trace_id);
+  const SpanRecord* root = view.Find("request");
+  ASSERT_NE(root, nullptr);
+  for (const auto& [key, value] :
+       {SpanAttr{"fixed", "true"}, SpanAttr{"algorithm", "inl"},
+        SpanAttr{"status", "ok"}}) {
+    EXPECT_NE(std::find(root->attrs.begin(), root->attrs.end(),
+                        SpanAttr{key, value}),
+              root->attrs.end())
+        << key;
+  }
+  // It waits in the pool's queue like any submission, and its plan is the
+  // caller's, so no "plan" span is recorded.
+  for (const std::string name : {"queue-wait", "build-index", "execute"}) {
+    const SpanRecord* span = view.Find(name);
+    ASSERT_NE(span, nullptr) << name;
+    EXPECT_EQ(span->parent_id, root->span_id) << name;
+  }
+  EXPECT_EQ(view.Find("plan"), nullptr);
+  EXPECT_EQ(metrics_->histogram("touch_engine_queue_wait_seconds").Count(),
+            1u);
+  EXPECT_EQ(
+      metrics_->counter("touch_engine_requests_total{status=\"ok\"}").Value(),
+      1u);
+}
+
 TEST_F(EngineTraceTest, PhaseObserverStillFiresAlongsideTheTracer) {
   // EngineOptions::phase_observer is now an adapter over the same phase
   // transitions the tracer records; both must see every transition.
@@ -279,8 +314,8 @@ TEST_F(EngineTraceTest, TouchSpansCarryTheirMorselFigures) {
     ASSERT_TRUE(attrs.count("max_morsel_ms")) << name;
     EXPECT_GE(std::stol(attrs.at("morsels")), 1) << name;
     EXPECT_GE(std::stol(attrs.at("helpers")), 0) << name;
-    // ExecuteFixed runs on this thread: every pool worker may help.
-    EXPECT_LE(std::stol(attrs.at("helpers")), options.threads) << name;
+    // ExecuteFixed runs on a pool worker: only its siblings may help.
+    EXPECT_LE(std::stol(attrs.at("helpers")), options.threads - 1) << name;
     EXPECT_GE(std::stod(attrs.at("max_morsel_ms")), 0.0) << name;
   }
   EXPECT_EQ(attrs_of(view, "build-index").at("cache"), "miss");
