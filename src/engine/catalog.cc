@@ -1,7 +1,6 @@
 #include "engine/catalog.h"
 
 #include <algorithm>
-#include <cstring>
 
 #include "estimate/selectivity.h"
 #include "geom/grid.h"
@@ -14,7 +13,7 @@ double DatasetStats::HistogramSkew() const {
   // every skew threshold. Finer histograms are block-aggregated down — an
   // exact nested-grid aggregation when the resolution is a multiple of 16,
   // and blocks differing by at most one fine cell otherwise (e.g. stats
-  // deserialized from a peer that histogrammed at an odd resolution).
+  // computed at an odd ComputeDatasetStats resolution).
   constexpr int kSkewResolution = 16;
   const int res = histogram_resolution;
   uint64_t max_count = 0;
@@ -291,112 +290,11 @@ PairEstimate CombineHistograms(const DatasetStats& a, const DatasetStats& b,
   return estimate;
 }
 
-namespace {
-
-constexpr uint32_t kStatsFormatVersion = 1;
-
-template <typename T>
-void AppendPod(std::vector<uint8_t>* out, const T& value) {
-  const auto* bytes = reinterpret_cast<const uint8_t*>(&value);
-  out->insert(out->end(), bytes, bytes + sizeof(T));
-}
-
-template <typename T>
-bool ConsumePod(std::span<const uint8_t>* bytes, T* value) {
-  if (bytes->size() < sizeof(T)) return false;
-  std::memcpy(value, bytes->data(), sizeof(T));
-  *bytes = bytes->subspan(sizeof(T));
-  return true;
-}
-
-}  // namespace
-
-std::vector<uint8_t> SerializeDatasetStats(const DatasetStats& stats) {
-  std::vector<uint8_t> out;
-  out.reserve(64 + stats.histogram.size() * sizeof(uint32_t));
-  AppendPod(&out, kStatsFormatVersion);
-  AppendPod(&out, static_cast<uint64_t>(stats.count));
-  // Corner-by-corner floats, not the whole Box, so struct padding never
-  // leaks into (or varies) the wire format.
-  for (const float field :
-       {stats.extent.lo.x, stats.extent.lo.y, stats.extent.lo.z,
-        stats.extent.hi.x, stats.extent.hi.y, stats.extent.hi.z,
-        stats.avg_object_extent.x, stats.avg_object_extent.y,
-        stats.avg_object_extent.z}) {
-    AppendPod(&out, field);
-  }
-  AppendPod(&out, stats.density);
-  AppendPod(&out, static_cast<int32_t>(stats.histogram_resolution));
-  AppendPod(&out, static_cast<uint64_t>(stats.histogram.size()));
-  const size_t offset = out.size();
-  out.resize(offset + stats.histogram.size() * sizeof(uint32_t));
-  if (!stats.histogram.empty()) {
-    std::memcpy(out.data() + offset, stats.histogram.data(),
-                stats.histogram.size() * sizeof(uint32_t));
-  }
-  return out;
-}
-
-bool DeserializeDatasetStats(std::span<const uint8_t> bytes,
-                             DatasetStats* stats) {
-  uint32_t version = 0;
-  if (!ConsumePod(&bytes, &version) || version != kStatsFormatVersion) {
-    return false;
-  }
-  DatasetStats parsed;
-  uint64_t count = 0;
-  if (!ConsumePod(&bytes, &count)) return false;
-  parsed.count = static_cast<size_t>(count);
-  float fields[9] = {};
-  for (float& field : fields) {
-    if (!ConsumePod(&bytes, &field)) return false;
-  }
-  parsed.extent = Box(Vec3(fields[0], fields[1], fields[2]),
-                      Vec3(fields[3], fields[4], fields[5]));
-  parsed.avg_object_extent = Vec3(fields[6], fields[7], fields[8]);
-  int32_t resolution = 0;
-  uint64_t histogram_size = 0;
-  if (!ConsumePod(&bytes, &parsed.density) ||
-      !ConsumePod(&bytes, &resolution) ||
-      !ConsumePod(&bytes, &histogram_size)) {
-    return false;
-  }
-  // Stats may arrive from untrusted peers (a remote catalog shard), so the
-  // declared shape is validated against the actual payload *before* any
-  // arithmetic that could overflow or any allocation it would size: the
-  // resolution bound keeps res^3 far from uint64 wraparound, and the
-  // histogram size is compared against the real remaining byte count.
-  if (resolution < 0 || resolution > 4096) return false;
-  parsed.histogram_resolution = resolution;
-  const uint64_t expected_cells =
-      resolution == 0 ? 0
-                      : static_cast<uint64_t>(resolution) * resolution *
-                            resolution;
-  if (bytes.size() % sizeof(uint32_t) != 0 ||
-      bytes.size() / sizeof(uint32_t) != histogram_size ||
-      histogram_size != expected_cells) {
-    return false;
-  }
-  parsed.histogram.resize(static_cast<size_t>(histogram_size));
-  if (histogram_size > 0) {
-    std::memcpy(parsed.histogram.data(), bytes.data(),
-                parsed.histogram.size() * sizeof(uint32_t));
-  }
-  *stats = std::move(parsed);
-  return true;
-}
-
 DatasetHandle DatasetCatalog::Register(std::string name, Dataset boxes) {
-  DatasetStats stats = ComputeDatasetStats(boxes);
-  return Register(std::move(name), std::move(boxes), std::move(stats));
-}
-
-DatasetHandle DatasetCatalog::Register(std::string name, Dataset boxes,
-                                       DatasetStats stats) {
   auto entry = std::make_unique<Entry>();
   entry->name = std::move(name);
   auto snapshot = std::make_shared<DatasetSnapshot>();
-  snapshot->stats = std::move(stats);
+  snapshot->stats = ComputeDatasetStats(boxes);
   snapshot->boxes = std::move(boxes);
   snapshot->version = 0;
   entry->snapshot = std::move(snapshot);

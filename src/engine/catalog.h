@@ -90,19 +90,6 @@ struct PairEstimate {
 PairEstimate CombineHistograms(const DatasetStats& a, const DatasetStats& b,
                                float epsilon, int resolution = 32);
 
-/// Byte-serialization of DatasetStats, so stats can travel without their
-/// geometry (e.g. a future sharded catalog exchanging planning metadata
-/// between nodes). Fixed-width fields in native byte order — intended for
-/// same-architecture exchange and exact round-trips, not archival.
-std::vector<uint8_t> SerializeDatasetStats(const DatasetStats& stats);
-
-/// Inverse of SerializeDatasetStats. Returns false (leaving `stats`
-/// untouched) on truncated, overlong, or structurally inconsistent input —
-/// including histogram resolutions above 4096 cells/axis, which are
-/// rejected as implausible rather than allocated.
-bool DeserializeDatasetStats(std::span<const uint8_t> bytes,
-                             DatasetStats* stats);
-
 /// One change to a registered dataset. `box` is the object's new geometry
 /// (ignored for kDelete).
 enum class MutationKind : uint8_t { kInsert, kDelete, kUpdate };
@@ -175,14 +162,6 @@ using DatasetSnapshotPtr = std::shared_ptr<const DatasetSnapshot>;
 class DatasetCatalog {
  public:
   DatasetHandle Register(std::string name, Dataset boxes) EXCLUDES(mutex_);
-
-  /// Registers with stats the caller already computed — the partition API's
-  /// entry point: the sharded catalog computes each shard's stats once (to
-  /// serialize them for central planning) and must not pay a second
-  /// registration scan here. `stats` must describe `boxes` exactly; nothing
-  /// is verified.
-  DatasetHandle Register(std::string name, Dataset boxes, DatasetStats stats)
-      EXCLUDES(mutex_);
 
   size_t size() const EXCLUDES(mutex_) {
     MutexLock lock(mutex_);

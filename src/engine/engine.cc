@@ -516,12 +516,6 @@ DatasetHandle QueryEngine::RegisterDataset(std::string name, Dataset boxes) {
   return catalog_.Register(std::move(name), std::move(boxes));
 }
 
-DatasetHandle QueryEngine::RegisterDataset(std::string name, Dataset boxes,
-                                           DatasetStats stats) {
-  return catalog_.Register(std::move(name), std::move(boxes),
-                           std::move(stats));
-}
-
 uint64_t QueryEngine::ApplyMutations(DatasetHandle dataset,
                                      std::span<const Mutation> mutations) {
   if (!catalog_.Contains(dataset)) return 0;
@@ -996,8 +990,13 @@ JoinResult QueryEngine::ExecuteRequest(const JoinRequest& request,
     JoinPlan plan;
     if (preplanned != nullptr) {
       // Scattered shard pairs execute the plan they arrived with; their
-      // "plan" span lives at the scatter site that computed it.
+      // "plan" span lives at the scatter site that computed it. The caller
+      // named the algorithm, so it is checked before the family counter
+      // below turns it into a label.
       plan = std::move(*preplanned);
+      if (MakeAlgorithm(plan.algorithm) == nullptr) {
+        return ErrorResult(UnknownAlgorithmMessage(plan.algorithm));
+      }
     } else {
       SpanScope plan_span(pinned.trace, "plan");
       Timer plan_timer;

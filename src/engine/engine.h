@@ -341,12 +341,6 @@ class QueryEngine {
   /// handle is what join requests refer to.
   DatasetHandle RegisterDataset(std::string name, Dataset boxes);
 
-  /// Registers with stats the caller already computed (the sharded engine
-  /// partitions and serializes per-shard stats before registering the
-  /// shard boxes; recomputing here would double the registration scan).
-  DatasetHandle RegisterDataset(std::string name, Dataset boxes,
-                                DatasetStats stats);
-
   const DatasetCatalog& catalog() const { return catalog_; }
 
   // --- Mutations ----------------------------------------------------------
@@ -387,11 +381,12 @@ class QueryEngine {
   /// Submits a request that was planned elsewhere: execution skips the
   /// planning phase and runs `plan` as-is (lifecycle, cancellation,
   /// deadline and caching behave exactly like Submit). This is the sharded
-  /// scatter path — shard pairs are planned centrally from serialized
-  /// shard stats and must execute the plan they were scattered with, not a
-  /// replan. The plan's algorithm must be a MakeAlgorithm name; unknown
-  /// names complete the future with kError, and so does a continuous
-  /// request (a standing query has no one-shot plan to run).
+  /// scatter path — shard pairs are planned with Plan at scatter time and
+  /// execute the plan they were scattered with (borrow_idle_workers
+  /// cleared), not a replan. The plan's algorithm must be a MakeAlgorithm
+  /// name; unknown names complete the future with kError (and count no
+  /// plan), and so does a continuous request (a standing query has no
+  /// one-shot plan to run).
   RequestHandle SubmitPlanned(JoinPlan plan, const JoinRequest& request,
                               std::unique_ptr<ResultSink> sink = nullptr);
 
@@ -429,12 +424,6 @@ class QueryEngine {
   /// every cold execution here when calibration is enabled.
   PlanFeedback& feedback() { return feedback_; }
   const PlanFeedback& feedback() const { return feedback_; }
-
-  /// Current fitted cost models at this engine's min_samples threshold (what
-  /// the next Plan call will consult when calibration is enabled).
-  CalibrationSnapshot calibration_snapshot() const {
-    return feedback_.Snapshot(options_.calibration.min_samples);
-  }
 
   const EngineOptions& options() const { return options_; }
 

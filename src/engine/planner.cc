@@ -59,16 +59,6 @@ bool Planner::PairMayProduceResults(const DatasetStats& stats_a,
   return Intersects(stats_a.extent.Enlarged(epsilon), stats_b.extent);
 }
 
-JoinPlan Planner::Plan(const DatasetCatalog& catalog,
-                       const JoinRequest& request,
-                       const CalibrationSnapshot* calibration) const {
-  // Pin snapshots rather than holding stats references: a mutation batch
-  // racing this plan would otherwise free the stats mid-read.
-  const DatasetSnapshotPtr a = catalog.snapshot(request.a);
-  const DatasetSnapshotPtr b = catalog.snapshot(request.b);
-  return Plan(a->stats, b->stats, request.epsilon, calibration);
-}
-
 JoinPlan Planner::Plan(const DatasetStats& stats_a, const DatasetStats& stats_b,
                        float epsilon,
                        const CalibrationSnapshot* calibration) const {

@@ -121,14 +121,10 @@ class Planner {
   explicit Planner(const PlannerOptions& options = {}) : options_(options) {}
 
   /// Chooses algorithm, join order, partition count and grid resolution for
-  /// `request`. Both handles must be valid in `catalog`.
-  JoinPlan Plan(const DatasetCatalog& catalog, const JoinRequest& request,
-                const CalibrationSnapshot* calibration = nullptr) const;
-
-  /// Stats-only core of Plan: planning needs no raw geometry, and this
-  /// overload proves it by construction (it cannot reach any boxes). Also
-  /// the entry point for stats that arrived without geometry, e.g. from a
-  /// remote catalog shard via DeserializeDatasetStats.
+  /// an epsilon-distance join of two datasets with these stats. Planning
+  /// needs no raw geometry, and the signature proves it by construction (it
+  /// cannot reach any boxes). QueryEngine::Plan is the engine's entry point
+  /// onto it: it pins both datasets' current stats and the calibration.
   JoinPlan Plan(const DatasetStats& stats_a, const DatasetStats& stats_b,
                 float epsilon,
                 const CalibrationSnapshot* calibration = nullptr) const;

@@ -72,25 +72,16 @@ ShardPartition PartitionIntoShards(const Dataset& boxes,
 
 /// The sharded engine's registry: one logical dataset maps to K shard
 /// datasets that live in an inner QueryEngine's catalog. This catalog
-/// stores planning and merge metadata only — *serialized* per-shard stats
-/// (the bytes a remote shard would send over the wire; shard MBRs for
-/// pair pruning travel inside them) and the id remaps the gather needs —
-/// never geometry. That split mirrors the deployment this subsystem is
-/// the architecture for: shard geometry lives with its node, only compact
-/// stats travel to the planner.
+/// stores routing and merge metadata only — the slabs mutations are
+/// routed by and the id remaps the gather needs — never geometry or
+/// stats: each shard's geometry and stats (count, extent, histogram) live
+/// in the inner DatasetCatalog under `engine_handle`, which keeps them
+/// current across mutation batches.
 class ShardedCatalog {
  public:
   struct Shard {
     /// The shard dataset's handle in the inner engine's DatasetCatalog.
     DatasetHandle engine_handle = 0;
-    size_t count = 0;
-    /// SerializeDatasetStats of the shard's stats; central planning
-    /// deserializes these — exactly as it would bytes from a remote node —
-    /// and prunes shard pairs on the deserialized extents (the shard MBRs
-    /// travel inside the stats, not as separate catalog state). Refreshed
-    /// from the inner catalog after every mutation batch, so pruning stays
-    /// sound as shards drift.
-    std::vector<uint8_t> stats_bytes;
     /// Shard-local object id -> global id (copy-on-write; see IdMapPtr).
     IdMapPtr to_global;
     /// Slab [cell_lo, cell_hi) on the entry's routing grid — the partition

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <optional>
 
 #include "geom/grid.h"
 #include "util/format.h"
@@ -42,8 +41,7 @@ struct internal::GatherState {
   std::vector<std::pair<int, int>> pair_ids;
   std::vector<std::pair<int, int>> pruned;
   size_t pairs_total = 0;
-  /// Submit-time failure (bad handle, corrupt shard stats); when set, no
-  /// pairs were scattered.
+  /// Submit-time failure (bad handle); when set, no pairs were scattered.
   std::string error;
   /// Wall clock of the whole scatter-gather, started at Submit.
   Timer wall;
@@ -241,16 +239,12 @@ ShardedJoinResult ShardedRequestHandle::Get() {
 // --- ShardedQueryEngine -----------------------------------------------------
 
 ShardedQueryEngine::ShardedQueryEngine(const EngineOptions& options)
-    : shards_(std::max(1, options.shards)),
-      planner_(options.planner),
-      inner_(options) {}
+    : shards_(std::max(1, options.shards)), inner_(options) {}
 
-DatasetHandle ShardedQueryEngine::RegisterDataset(std::string name,
-                                                  Dataset boxes) {
-  ShardedCatalog::Entry entry;
-  entry.name = name;
+void ShardedQueryEngine::InstallShards(ShardedCatalog::Entry& entry,
+                                       const Dataset& boxes,
+                                       std::span<const uint32_t> gid_of) {
   entry.global_stats = ComputeDatasetStats(boxes);
-  entry.next_global = static_cast<uint32_t>(boxes.size());
   // The routing grid is frozen per partition epoch: mutations must route
   // with the exact (domain, resolution) the assignment pass mapped centers
   // with, not whatever the stats drift to later.
@@ -258,17 +252,20 @@ DatasetHandle ShardedQueryEngine::RegisterDataset(std::string name,
   entry.route_resolution = std::max(1, entry.global_stats.histogram_resolution);
   ShardPartition partition =
       PartitionIntoShards(boxes, entry.global_stats, shards_);
-  entry.shard_of = std::make_shared<const std::vector<uint32_t>>(
-      std::move(partition.shard_of));
-  entry.shards.reserve(partition.shards.size());
+  std::vector<uint32_t> shard_of(entry.next_global, kNoShard);
+  std::vector<ShardedCatalog::Shard> shards(partition.shards.size());
   for (size_t k = 0; k < partition.shards.size(); ++k) {
     DatasetShard& piece = partition.shards[k];
-    // Per-shard stats are computed once and serialized — the bytes are what
-    // central planning consumes, and what a remote shard would ship.
-    DatasetStats stats = ComputeDatasetStats(piece.boxes);
-    ShardedCatalog::Shard shard;
-    shard.count = piece.boxes.size();
-    shard.stats_bytes = SerializeDatasetStats(stats);
+    ShardedCatalog::Shard& shard = shards[k];
+    // piece.to_global indexes `boxes`; translate to the preserved ids.
+    for (size_t local = 0; local < piece.to_global.size(); ++local) {
+      uint32_t& gid = piece.to_global[local];
+      if (!gid_of.empty()) gid = gid_of[gid];
+      shard_of[gid] = static_cast<uint32_t>(k);
+      if (entry.mutable_ready) {
+        shard.local_of.emplace(gid, static_cast<uint32_t>(local));
+      }
+    }
     shard.next_local = static_cast<uint32_t>(piece.boxes.size());
     shard.to_global = std::make_shared<const std::vector<uint32_t>>(
         std::move(piece.to_global));
@@ -277,11 +274,24 @@ DatasetHandle ShardedQueryEngine::RegisterDataset(std::string name,
       shard.cell_hi[axis] = piece.cell_hi[axis];
     }
     shard.base_mbr = piece.mbr;
+    // Superseded shard datasets stay registered (the inner catalog has no
+    // unregister); the version suffix keeps every epoch's names unique.
+    std::string name = entry.name + "#" + std::to_string(k);
+    if (entry.version > 0) name += "@v" + std::to_string(entry.version);
     shard.engine_handle =
-        inner_.RegisterDataset(name + "#" + std::to_string(k),
-                               std::move(piece.boxes), std::move(stats));
-    entry.shards.push_back(std::move(shard));
+        inner_.RegisterDataset(std::move(name), std::move(piece.boxes));
   }
+  entry.shards = std::move(shards);
+  entry.shard_of =
+      std::make_shared<const std::vector<uint32_t>>(std::move(shard_of));
+}
+
+DatasetHandle ShardedQueryEngine::RegisterDataset(std::string name,
+                                                  Dataset boxes) {
+  ShardedCatalog::Entry entry;
+  entry.name = std::move(name);
+  entry.next_global = static_cast<uint32_t>(boxes.size());
+  InstallShards(entry, boxes, {});
   return catalog_.Add(std::move(entry));
 }
 
@@ -309,7 +319,8 @@ ShardedRequestHandle ShardedQueryEngine::Submit(
   // The scatter serializes against mutation batches: shard stats, id maps
   // and engine handles are read under the catalog mutex, and the COW maps
   // pinned here keep this gather consistent even if a batch (or a whole
-  // repartition) lands before the pairs finish executing.
+  // repartition) lands before the pairs finish executing. Shard stats come
+  // from the inner catalog, which keeps them current across mutations.
   const MutexLock catalog_lock(catalog_mutex_);
   const ShardedCatalog::Entry& entry_a = catalog_.entry(request.a);
   const ShardedCatalog::Entry& entry_b = catalog_.entry(request.b);
@@ -319,37 +330,19 @@ ShardedRequestHandle ShardedQueryEngine::Submit(
   state->shards_b = entry_b.shards.size();
   state->pairs_total = entry_a.shards.size() * entry_b.shards.size();
 
-  // Central planning consumes the serialized stats — deserialize each
-  // shard's bytes once per request, exactly as a coordinator would with
-  // stats that arrived over the wire.
-  const auto deserialize_all =
-      [&](const ShardedCatalog::Entry& entry,
-          std::vector<DatasetStats>* stats) -> bool {
-    stats->resize(entry.shards.size());
-    for (size_t k = 0; k < entry.shards.size(); ++k) {
-      if (!DeserializeDatasetStats(entry.shards[k].stats_bytes,
-                                   &(*stats)[k])) {
-        state->error = Format("corrupt serialized stats for shard %zu of %s",
-                              k, entry.name.c_str());
-        return false;
-      }
+  const auto pin_shards = [&](const ShardedCatalog::Entry& entry) {
+    std::vector<DatasetSnapshotPtr> snaps;
+    snaps.reserve(entry.shards.size());
+    for (const ShardedCatalog::Shard& shard : entry.shards) {
+      snaps.push_back(inner_.catalog().snapshot(shard.engine_handle));
     }
-    return true;
+    return snaps;
   };
-  std::vector<DatasetStats> stats_a;
-  std::vector<DatasetStats> stats_b;
-  if (!deserialize_all(entry_a, &stats_a) ||
-      !deserialize_all(entry_b, &stats_b)) {
-    return handle;
-  }
+  const std::vector<DatasetSnapshotPtr> snaps_a = pin_shards(entry_a);
+  const std::vector<DatasetSnapshotPtr> snaps_b = pin_shards(entry_b);
 
-  std::optional<CalibrationSnapshot> snapshot;
-  if (inner_.options().calibration.enabled) {
-    snapshot = inner_.calibration_snapshot();
-  }
-
-  // The scatter span covers pruning, central planning and submission of
-  // every pair; each pair's own "request" root parents onto the sharded
+  // The scatter span covers pruning, planning and submission of every
+  // pair; each pair's own "request" root parents onto the sharded
   // root, so the exported tree reads sharded-request → scatter/plan,
   // request (per pair) → build/execute, gather.
   SpanScope scatter_span(
@@ -357,25 +350,11 @@ ShardedRequestHandle ShardedQueryEngine::Submit(
       "scatter");
   for (size_t i = 0; i < entry_a.shards.size(); ++i) {
     for (size_t j = 0; j < entry_b.shards.size(); ++j) {
-      if (!Planner::PairMayProduceResults(stats_a[i], stats_b[j],
+      if (!Planner::PairMayProduceResults(snaps_a[i]->stats, snaps_b[j]->stats,
                                           request.epsilon)) {
         state->pruned.emplace_back(static_cast<int>(i), static_cast<int>(j));
         continue;
       }
-      SpanScope plan_span(scatter_span.context(), "plan");
-      plan_span.AddAttr("shard_a", std::to_string(i));
-      plan_span.AddAttr("shard_b", std::to_string(j));
-      JoinPlan plan =
-          planner_.Plan(stats_a[i], stats_b[j], request.epsilon,
-                        snapshot.has_value() ? &*snapshot : nullptr);
-      plan_span.AddAttr("algorithm", plan.algorithm);
-      plan_span.End();
-      // A pair runs on one worker: the pairs already spread the request
-      // over the pool. Lending them the moments a worker sat idle between
-      // pairs put helpers on most TOUCH pairs even with four requests in
-      // flight (perfbench sharded-serve), and throughput then swung from
-      // run to run with how contended the host was.
-      plan.borrow_idle_workers = false;
       JoinRequest pair_request;
       pair_request.a = entry_a.shards[i].engine_handle;
       pair_request.b = entry_b.shards[j].engine_handle;
@@ -384,6 +363,18 @@ ShardedRequestHandle ShardedQueryEngine::Submit(
       // The pair joins this request's trace instead of starting its own.
       pair_request.trace_id = state->trace_id;
       pair_request.trace_parent_span = state->root_span_id;
+      SpanScope plan_span(scatter_span.context(), "plan");
+      plan_span.AddAttr("shard_a", std::to_string(i));
+      plan_span.AddAttr("shard_b", std::to_string(j));
+      JoinPlan plan = inner_.Plan(pair_request);
+      plan_span.AddAttr("algorithm", plan.algorithm);
+      plan_span.End();
+      // A pair runs on one worker: the pairs already spread the request
+      // over the pool. Lending them the moments a worker sat idle between
+      // pairs put helpers on most TOUCH pairs even with four requests in
+      // flight (perfbench sharded-serve), and throughput then swung from
+      // run to run with how contended the host was.
+      plan.borrow_idle_workers = false;
       state->pair_ids.emplace_back(static_cast<int>(i), static_cast<int>(j));
       state->handles.push_back(inner_.SubmitPlanned(
           std::move(plan), pair_request,
@@ -528,17 +519,12 @@ uint64_t ShardedQueryEngine::ApplyMutations(DatasetHandle dataset,
     }
   }
 
-  // Run the per-shard sub-batches through the inner engine (stats deltas,
-  // versioned cache invalidation and continuous-join delta probes all
-  // happen there), then re-serialize shard stats so pair pruning keeps
-  // seeing the post-mutation MBRs.
+  // Run the per-shard sub-batches through the inner engine: stats deltas
+  // (which the next scatter prunes and plans from), versioned cache
+  // invalidation and continuous-join delta probes all happen there.
   for (size_t s = 0; s < num_shards; ++s) {
     if (batches[s].empty()) continue;
     inner_.ApplyMutations(entry.shards[s].engine_handle, batches[s]);
-    const DatasetSnapshotPtr snap =
-        inner_.catalog().snapshot(entry.shards[s].engine_handle);
-    entry.shards[s].stats_bytes = SerializeDatasetStats(snap->stats);
-    entry.shards[s].count = snap->stats.count;
   }
 
   // Publish the new id maps (copy-on-write swap) and bump the version.
@@ -590,50 +576,7 @@ void ShardedQueryEngine::RepartitionLocked(ShardedCatalog::Entry& entry) {
       all_gids.push_back(map[snap->id_of(static_cast<uint32_t>(slot))]);
     }
   }
-  DatasetStats global_stats = ComputeDatasetStats(all_boxes);
-  ShardPartition partition =
-      PartitionIntoShards(all_boxes, global_stats, shards_);
-
-  std::vector<uint32_t> shard_of(entry.next_global, kNoShard);
-  std::vector<ShardedCatalog::Shard> shards;
-  shards.reserve(partition.shards.size());
-  for (size_t k = 0; k < partition.shards.size(); ++k) {
-    DatasetShard& piece = partition.shards[k];
-    ShardedCatalog::Shard shard;
-    // piece.to_global indexes into all_boxes; translate to preserved gids.
-    std::vector<uint32_t> to_global(piece.to_global.size());
-    for (size_t i = 0; i < piece.to_global.size(); ++i) {
-      const uint32_t gid = all_gids[piece.to_global[i]];
-      to_global[i] = gid;
-      shard.local_of.emplace(gid, static_cast<uint32_t>(i));
-      shard_of[gid] = static_cast<uint32_t>(k);
-    }
-    DatasetStats stats = ComputeDatasetStats(piece.boxes);
-    shard.count = piece.boxes.size();
-    shard.stats_bytes = SerializeDatasetStats(stats);
-    shard.next_local = static_cast<uint32_t>(piece.boxes.size());
-    shard.to_global =
-        std::make_shared<const std::vector<uint32_t>>(std::move(to_global));
-    for (int axis = 0; axis < 3; ++axis) {
-      shard.cell_lo[axis] = piece.cell_lo[axis];
-      shard.cell_hi[axis] = piece.cell_hi[axis];
-    }
-    shard.base_mbr = piece.mbr;
-    // The old inner shard datasets stay registered (the inner catalog has
-    // no unregister); versioned epochs in the name keep handles unique.
-    shard.engine_handle = inner_.RegisterDataset(
-        entry.name + "#" + std::to_string(k) + "@v" +
-            std::to_string(entry.version),
-        std::move(piece.boxes), std::move(stats));
-    shards.push_back(std::move(shard));
-  }
-  entry.route_domain = global_stats.extent;
-  entry.route_resolution = std::max(1, global_stats.histogram_resolution);
-  entry.global_stats = std::move(global_stats);
-  entry.shards = std::move(shards);
-  entry.shard_of =
-      std::make_shared<const std::vector<uint32_t>>(std::move(shard_of));
-  entry.mutable_ready = true;
+  InstallShards(entry, all_boxes, all_gids);
 }
 
 ShardedJoinResult ShardedQueryEngine::Execute(const JoinRequest& request,

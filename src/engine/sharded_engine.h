@@ -20,9 +20,9 @@ struct GatherState;
 }  // namespace internal
 
 /// One executed shard pair of a sharded join: which shards met, the plan
-/// they were scattered with (stats-only Planner::Plan over the shards'
-/// *deserialized* stats), and what the execution measured. Pruned pairs
-/// never appear here — see ShardedJoinResult::pruned.
+/// they were scattered with (the inner engine's QueryEngine::Plan of the
+/// pair, with borrow_idle_workers cleared), and what the execution
+/// measured. Pruned pairs never appear here — see ShardedJoinResult::pruned.
 struct ShardPairReport {
   int shard_a = 0;
   int shard_b = 0;
@@ -99,21 +99,21 @@ class ShardedRequestHandle {
 /// (STR slabs over the registration histogram — see shard.h) and whose
 /// joins fan out over shard pairs.
 ///
-/// One join request becomes up to K_a * K_b shard-pair requests. Each pair
-/// is planned *centrally* with the stats-only Planner::Plan over the
-/// shards' serialized stats (the same bytes a remote shard would send),
-/// pairs whose epsilon-inflated MBRs cannot meet are pruned before any
-/// work is spent, and the survivors scatter onto the inner engine's
-/// existing WorkerPool via SubmitPlanned — inheriting its index cache,
-/// lifecycle management and cooperative cancellation per pair. The gather
-/// remaps shard-local ids to global ids, deduplicates through the owner
-/// filter, and merges everything into one JoinResult.
+/// One join request becomes up to K_a * K_b shard-pair requests. Pairs
+/// whose epsilon-inflated MBRs cannot meet — read from the shard stats the
+/// inner catalog keeps current — are pruned before any work is spent; each
+/// survivor is planned at scatter time through the inner engine's one
+/// planning entry point (QueryEngine::Plan) and submitted onto its
+/// WorkerPool via SubmitPlanned — inheriting its index cache, lifecycle
+/// management and cooperative cancellation per pair. The gather remaps
+/// shard-local ids to global ids, deduplicates through the owner filter,
+/// and merges everything into one JoinResult.
 ///
 /// This subsystem is single-process: shards are in-memory datasets of one
-/// inner engine. It is deliberately shaped so that multi-process
-/// distribution is a transport problem — stats already travel as bytes,
-/// planning never touches shard geometry, and the gather only consumes id
-/// streams. See docs/DEPLOYMENT.md.
+/// inner engine, and nothing here talks to another process. Planning reads
+/// only shard stats and the gather only consumes id streams; a future
+/// multi-process transport would define its own wire format for both. See
+/// docs/DEPLOYMENT.md.
 ///
 /// Threading contract: RegisterDataset must not race with queries (same as
 /// QueryEngine); Submit and Execute may run concurrently.
@@ -124,9 +124,9 @@ class ShardedQueryEngine {
   explicit ShardedQueryEngine(const EngineOptions& options = {});
 
   /// Partitions `boxes` into shards, registers each shard with the inner
-  /// engine, serializes per-shard stats into the sharded catalog, and
-  /// returns the logical dataset's handle (valid for Submit/Execute on
-  /// *this* engine, not the inner one).
+  /// engine (which computes and keeps its stats), and returns the logical
+  /// dataset's handle (valid for Submit/Execute on *this* engine, not the
+  /// inner one).
   DatasetHandle RegisterDataset(std::string name, Dataset boxes);
 
   /// Applies one mutation batch to a sharded dataset in *global* id space.
@@ -135,9 +135,9 @@ class ShardedQueryEngine {
   /// becomes a delete + an explicit-id insert on the new owner, preserving
   /// the global id), the per-shard sub-batches run through the inner
   /// engine's ApplyMutations (stats, versioning, cache invalidation and
-  /// continuous joins all behave as documented there), per-shard
-  /// stats_bytes are re-serialized so pair pruning stays sound, and a
-  /// shard whose MBR margin drifted past
+  /// continuous joins all behave as documented there — the shard stats
+  /// the next scatter prunes and plans from included), and a shard whose
+  /// MBR margin drifted past
   /// EngineOptions::shard_repartition_drift times its partition-time
   /// margin triggers a full re-partition from live geometry
   /// (`touch_shard_repartitions_total`). Batches serialize against each
@@ -165,16 +165,22 @@ class ShardedQueryEngine {
   int shards() const { return shards_; }
 
  private:
-  /// Rebuilds `entry`'s partition from the live geometry of its shards:
-  /// new slabs over fresh global stats, new inner shard datasets, new id
-  /// maps (global ids preserved). The old inner shard datasets stay
-  /// registered but unreferenced — the inner catalog has no unregister —
-  /// so their cache artifacts age out through normal eviction.
+  /// Partitions `boxes` over fresh global stats, registers every piece as
+  /// an inner shard dataset, and installs the shards, the routing grid and
+  /// the owner map into `entry`. `gid_of[i]` is the global id of boxes[i]
+  /// (empty = identity, as at registration); `entry.next_global` must
+  /// already bound every global id.
+  void InstallShards(ShardedCatalog::Entry& entry, const Dataset& boxes,
+                     std::span<const uint32_t> gid_of);
+
+  /// Rebuilds `entry`'s partition from the live geometry of its shards
+  /// (global ids preserved) through InstallShards. The old inner shard
+  /// datasets stay registered but unreferenced — the inner catalog has no
+  /// unregister — so their cache artifacts age out through normal eviction.
   void RepartitionLocked(ShardedCatalog::Entry& entry)
       REQUIRES(catalog_mutex_);
 
   int shards_;
-  Planner planner_;
   QueryEngine inner_;
   /// Serializes mutation batches against each other and against Submit's
   /// scatter (which pins the id maps and reads shard stats under it).

@@ -1,5 +1,6 @@
 #include "io/dataset_io.h"
 
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -23,6 +24,23 @@ using File = std::unique_ptr<std::FILE, FileCloser>;
 
 File OpenFile(const std::string& path, const char* mode) {
   return File(std::fopen(path.c_str(), mode));
+}
+
+/// Why `b` cannot be a stored box — a non-finite coordinate, or lo > hi on
+/// some axis — or null when it is valid. Such records would otherwise flow
+/// into the catalog's stats (one NaN turns the extent, the histogram and
+/// every plan-time estimate into garbage).
+const char* InvalidBoxReason(const Box& b) {
+  for (const float v : {b.lo.x, b.lo.y, b.lo.z, b.hi.x, b.hi.y, b.hi.z}) {
+    if (!std::isfinite(v)) return "non-finite coordinate";
+  }
+  return b.IsEmpty() ? "inverted box (lo > hi)" : nullptr;
+}
+
+IoStatus InvalidBoxError(const std::string& path, size_t index,
+                         const std::string& reason) {
+  return IoStatus::Error("'" + path + "' box " + std::to_string(index) +
+                         ": " + reason);
 }
 
 IoStatus OpenError(const std::string& path, const char* action) {
@@ -117,6 +135,12 @@ IoStatus ReadBoxesBinary(const std::string& path, std::vector<Box>* boxes) {
                            "than its declared " + std::to_string(count) +
                            " boxes)");
   }
+  for (size_t i = 0; i < boxes->size(); ++i) {
+    if (const char* reason = InvalidBoxReason((*boxes)[i])) {
+      boxes->clear();
+      return InvalidBoxError(path, i, reason);
+    }
+  }
   return IoStatus::Ok();
 }
 
@@ -156,6 +180,13 @@ IoStatus ReadBoxesCsv(const std::string& path, std::vector<Box>* boxes) {
       return IoStatus::Error("'" + path + "' line " +
                              std::to_string(line_number) +
                              ": expected 6 comma-separated floats");
+    }
+    if (const char* reason = InvalidBoxReason(b)) {
+      const size_t index = boxes->size();
+      boxes->clear();
+      return InvalidBoxError(path, index,
+                             std::string(reason) + " on line " +
+                                 std::to_string(line_number));
     }
     boxes->push_back(b);
   }

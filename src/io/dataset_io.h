@@ -27,6 +27,10 @@ struct IoStatus {
 /// count, then `count` boxes of 6 floats (lo.xyz, hi.xyz). Compact and
 /// loads at memcpy speed — the paper's loading experiment (section 6.3)
 /// shows load time is dwarfed by join time, and this format keeps it so.
+///
+/// Both readers reject a record with a non-finite coordinate or lo > hi on
+/// some axis: the status names the record's index ("box <i>"), and `boxes`
+/// is left empty.
 IoStatus WriteBoxesBinary(const std::string& path,
                           const std::vector<Box>& boxes);
 IoStatus ReadBoxesBinary(const std::string& path, std::vector<Box>* boxes);

@@ -139,35 +139,28 @@ TEST(PlanFeedbackTest, ClearForgetsEverything) {
   EXPECT_EQ(feedback.Snapshot(1).Predict("touch", 1000, 0), std::nullopt);
 }
 
-/// Catalog with clustered datasets big enough that the static rules reach
-/// the TOUCH branch (mirrors PlannerTest::ClusteredInputsPlanTouch).
+/// Stats of clustered datasets big enough that the static rules reach the
+/// TOUCH branch (mirrors PlannerTest::ClusteredInputsPlanTouch).
 class CalibratedPlannerTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    a_ = catalog_.Register(
-        "a", GenerateSynthetic(Distribution::kClustered, 30000, 10));
-    b_ = catalog_.Register(
-        "b", GenerateSynthetic(Distribution::kClustered, 60000, 11));
-  }
-
-  DatasetCatalog catalog_;
+  const DatasetStats a_ = ComputeDatasetStats(
+      GenerateSynthetic(Distribution::kClustered, 30000, 10));
+  const DatasetStats b_ = ComputeDatasetStats(
+      GenerateSynthetic(Distribution::kClustered, 60000, 11));
   Planner planner_;
-  DatasetHandle a_ = 0;
-  DatasetHandle b_ = 0;
 };
 
 // The golden plan flip: static rules pick TOUCH for clustered data, but
 // measured feedback showing another family is faster on this engine
 // overrides them — with a before/after rationale.
 TEST_F(CalibratedPlannerTest, MeasuredFeedbackFlipsTheStaticChoice) {
-  const JoinRequest request{a_, b_, 1.0f};
-  ASSERT_EQ(planner_.Plan(catalog_, request).algorithm, "touch");
+  ASSERT_EQ(planner_.Plan(a_, b_, 1.0f).algorithm, "touch");
 
   PlanFeedback feedback;
   Teach(&feedback, "touch", 1e-6);  // measured slow
   Teach(&feedback, "ps", 1e-8);    // measured 100x faster per object
   const CalibrationSnapshot snapshot = feedback.Snapshot(3);
-  const JoinPlan plan = planner_.Plan(catalog_, request, &snapshot);
+  const JoinPlan plan = planner_.Plan(a_, b_, 1.0f, &snapshot);
   EXPECT_EQ(plan.algorithm, "ps");
   EXPECT_TRUE(plan.calibrated);
   EXPECT_EQ(plan.static_algorithm, "touch");
@@ -178,12 +171,11 @@ TEST_F(CalibratedPlannerTest, MeasuredFeedbackFlipsTheStaticChoice) {
 }
 
 TEST_F(CalibratedPlannerTest, AgreementKeepsThePlanAndSaysSo) {
-  const JoinRequest request{a_, b_, 1.0f};
   PlanFeedback feedback;
   Teach(&feedback, "touch", 1e-8);  // measured fastest
   Teach(&feedback, "ps", 1e-6);
   const CalibrationSnapshot snapshot = feedback.Snapshot(3);
-  const JoinPlan plan = planner_.Plan(catalog_, request, &snapshot);
+  const JoinPlan plan = planner_.Plan(a_, b_, 1.0f, &snapshot);
   EXPECT_EQ(plan.algorithm, "touch");
   EXPECT_TRUE(plan.calibrated);
   EXPECT_EQ(plan.static_algorithm, "touch");
@@ -193,18 +185,17 @@ TEST_F(CalibratedPlannerTest, AgreementKeepsThePlanAndSaysSo) {
 // "Slower than what?" — without measurements of the static choice itself
 // (or with only one measured family) the static plan stands untouched.
 TEST_F(CalibratedPlannerTest, OverrideNeedsTheStaticFamilyMeasured) {
-  const JoinRequest request{a_, b_, 1.0f};
   PlanFeedback feedback;
   Teach(&feedback, "ps", 1e-9);  // blazing fast, but touch is unmeasured
   CalibrationSnapshot snapshot = feedback.Snapshot(3);
-  JoinPlan plan = planner_.Plan(catalog_, request, &snapshot);
+  JoinPlan plan = planner_.Plan(a_, b_, 1.0f, &snapshot);
   EXPECT_EQ(plan.algorithm, "touch");
   EXPECT_FALSE(plan.calibrated);
 
   feedback.Clear();
   Teach(&feedback, "touch", 1e-6);  // only the static family measured
   snapshot = feedback.Snapshot(3);
-  plan = planner_.Plan(catalog_, request, &snapshot);
+  plan = planner_.Plan(a_, b_, 1.0f, &snapshot);
   EXPECT_EQ(plan.algorithm, "touch");
   EXPECT_FALSE(plan.calibrated);
 }
@@ -212,22 +203,20 @@ TEST_F(CalibratedPlannerTest, OverrideNeedsTheStaticFamilyMeasured) {
 // Hard constraints survive any amount of evidence: under a violated memory
 // budget TOUCH is not a candidate no matter how fast it measured.
 TEST(CalibratedPlannerConstraintTest, MemoryBudgetBeatsCalibration) {
-  DatasetCatalog catalog;
-  const DatasetHandle small = catalog.Register(
-      "small", GenerateSynthetic(Distribution::kClustered, 1200, 6));
-  const DatasetHandle large = catalog.Register(
-      "large", GenerateSynthetic(Distribution::kClustered, 120000, 7));
+  const DatasetStats small = ComputeDatasetStats(
+      GenerateSynthetic(Distribution::kClustered, 1200, 6));
+  const DatasetStats large = ComputeDatasetStats(
+      GenerateSynthetic(Distribution::kClustered, 120000, 7));
   PlannerOptions options;
   options.memory_budget_bytes = 2 << 20;
   const Planner constrained(options);
-  const JoinRequest request{small, large, 1.0f};
-  ASSERT_EQ(constrained.Plan(catalog, request).algorithm, "inl");
+  ASSERT_EQ(constrained.Plan(small, large, 1.0f).algorithm, "inl");
 
   PlanFeedback feedback;
   Teach(&feedback, "touch", 1e-12);  // "measured" absurdly fast
   Teach(&feedback, "inl", 1e-6);
   const CalibrationSnapshot snapshot = feedback.Snapshot(3);
-  const JoinPlan plan = constrained.Plan(catalog, request, &snapshot);
+  const JoinPlan plan = constrained.Plan(small, large, 1.0f, &snapshot);
   EXPECT_NE(plan.algorithm, "touch") << plan.rationale;
 }
 

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <fstream>
 #include <initializer_list>
+#include <limits>
 #include <string>
 #include <utility>
 
@@ -137,6 +138,74 @@ TEST(BoxCsvIoTest, HeaderlessFileStillParses) {
   ASSERT_TRUE(ReadBoxesCsv(file.path(), &loaded).ok);
   ASSERT_EQ(loaded.size(), 2u);
   EXPECT_EQ(loaded[1], MakeBox(2, 2, 2, 3, 3, 3));
+}
+
+// --- Invalid records are rejected at the loader, naming the record ---------
+
+/// Valid boxes with one bad record at index 2.
+Dataset WithBadRecord(const Box& bad) {
+  return {CenteredBox(1, 1, 1), CenteredBox(2, 2, 2), bad,
+          CenteredBox(3, 3, 3)};
+}
+
+struct BadRecord {
+  const char* name;
+  Box box;
+  const char* reason;
+};
+
+const BadRecord kBadRecords[] = {
+    {"nan", MakeBox(0, std::numeric_limits<float>::quiet_NaN(), 0, 1, 1, 1),
+     "non-finite"},
+    {"inf", MakeBox(0, 0, 0, 1, 1, std::numeric_limits<float>::infinity()),
+     "non-finite"},
+    {"inverted", MakeBox(0, 5, 0, 1, 4, 1), "inverted"},
+};
+
+TEST(BoxBinaryIoTest, InvalidRecordsAreRejectedByIndex) {
+  for (const BadRecord& bad : kBadRecords) {
+    TempFile file(std::string("bad_") + bad.name + ".bin");
+    ASSERT_TRUE(WriteBoxesBinary(file.path(), WithBadRecord(bad.box)).ok);
+    Dataset loaded;
+    const IoStatus status = ReadBoxesBinary(file.path(), &loaded);
+    EXPECT_FALSE(status.ok) << bad.name;
+    EXPECT_NE(status.message.find("box 2"), std::string::npos)
+        << status.message;
+    EXPECT_NE(status.message.find(bad.reason), std::string::npos)
+        << status.message;
+    EXPECT_TRUE(loaded.empty()) << bad.name;
+  }
+}
+
+TEST(BoxCsvIoTest, InvalidRecordsAreRejectedByIndex) {
+  for (const BadRecord& bad : kBadRecords) {
+    TempFile file(std::string("bad_") + bad.name + ".csv");
+    ASSERT_TRUE(WriteBoxesCsv(file.path(), WithBadRecord(bad.box)).ok);
+    Dataset loaded;
+    const IoStatus status = ReadBoxesCsv(file.path(), &loaded);
+    EXPECT_FALSE(status.ok) << bad.name;
+    EXPECT_NE(status.message.find("box 2"), std::string::npos)
+        << status.message;
+    EXPECT_NE(status.message.find("line 4"), std::string::npos)
+        << status.message;
+    EXPECT_NE(status.message.find(bad.reason), std::string::npos)
+        << status.message;
+    EXPECT_TRUE(loaded.empty()) << bad.name;
+  }
+}
+
+TEST(BoxCsvIoTest, NanTextRowIsRejected) {
+  // The reproduction: a hand-edited "nan" field parses as a float.
+  TempFile file("nan_row.csv");
+  std::ofstream(file.path()) << "lo_x,lo_y,lo_z,hi_x,hi_y,hi_z\n"
+                             << "1,2,3,4,5,6\n"
+                             << "nan,2,3,4,5,6\n";
+  Dataset loaded;
+  const IoStatus status = ReadBoxesCsv(file.path(), &loaded);
+  EXPECT_FALSE(status.ok);
+  EXPECT_NE(status.message.find("box 1"), std::string::npos)
+      << status.message;
+  EXPECT_TRUE(loaded.empty());
 }
 
 TEST(NeuroIoTest, RoundTripsModel) {

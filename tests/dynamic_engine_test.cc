@@ -34,12 +34,12 @@ namespace {
 
 // --- shared generators ------------------------------------------------------
 
-Box RandomBox(Rng& rng, float space, float max_side) {
-  // Centers may land slightly outside [0, space] so mutations also exercise
-  // the out-of-domain routing/clamping paths.
-  const Vec3 center(static_cast<float>(rng.Uniform(-0.05, 1.05)) * space,
-                    static_cast<float>(rng.Uniform(-0.05, 1.05)) * space,
-                    static_cast<float>(rng.Uniform(-0.05, 1.05)) * space);
+Box RandomBox(Rng& rng, float space, float max_side, double reach) {
+  // Centers may land outside [0, space] — up to `reach * space` — so
+  // mutations also exercise the out-of-domain routing/clamping paths.
+  const Vec3 center(static_cast<float>(rng.Uniform(-0.05, reach)) * space,
+                    static_cast<float>(rng.Uniform(-0.05, reach)) * space,
+                    static_cast<float>(rng.Uniform(-0.05, reach)) * space);
   const Vec3 half(rng.NextFloat() * max_side * 0.5f,
                   rng.NextFloat() * max_side * 0.5f,
                   rng.NextFloat() * max_side * 0.5f);
@@ -50,10 +50,12 @@ Box RandomBox(Rng& rng, float space, float max_side) {
 /// insert/delete/update batches and tracks which ids are live. Inserts use
 /// kInvalidObjectId and rely on the catalog's deterministic id assignment
 /// (registration count, then +1 per applied insert in stream order).
+/// Inserted and updated boxes have centers in [-0.05, reach] * space.
 class MutationFuzzer {
  public:
-  MutationFuzzer(uint64_t seed, size_t initial_count, float space)
-      : rng_(seed), space_(space) {
+  MutationFuzzer(uint64_t seed, size_t initial_count, float space,
+                 double reach = 1.05)
+      : rng_(seed), space_(space), reach_(reach) {
     live_.resize(initial_count);
     for (uint32_t i = 0; i < initial_count; ++i) live_[i] = i;
     next_id_ = static_cast<uint32_t>(initial_count);
@@ -66,7 +68,7 @@ class MutationFuzzer {
       const uint64_t dice = rng_.UniformInt(10);
       if (live_.empty() || dice < 4) {
         batch.push_back(Mutation{MutationKind::kInsert, kInvalidObjectId,
-                                 RandomBox(rng_, space_, 6.0f)});
+                                 RandomBox(rng_, space_, 6.0f, reach_)});
         live_.push_back(next_id_++);
       } else if (dice < 7) {
         const size_t pick = rng_.UniformInt(live_.size());
@@ -76,7 +78,7 @@ class MutationFuzzer {
       } else {
         const size_t pick = rng_.UniformInt(live_.size());
         batch.push_back(Mutation{MutationKind::kUpdate, live_[pick],
-                                 RandomBox(rng_, space_, 6.0f)});
+                                 RandomBox(rng_, space_, 6.0f, reach_)});
       }
     }
     return batch;
@@ -85,6 +87,7 @@ class MutationFuzzer {
  private:
   Rng rng_;
   float space_;
+  double reach_;
   std::vector<uint32_t> live_;
   uint32_t next_id_ = 0;
 };
@@ -311,8 +314,10 @@ TEST(ShardedMutationTest, ShardedEqualsUnshardedUnderMutation) {
 
   EngineOptions sharded_options;
   sharded_options.shards = 4;
-  // A tight drift threshold so the randomized stream actually exercises
-  // RepartitionLocked, not just the routing fast path.
+  // A tight drift threshold, and a stream that inserts and moves boxes up
+  // to twice the registration extent (routing clamps them into the edge
+  // shards, whose MBRs then outgrow 1.3x), so RepartitionLocked really
+  // runs, not just the routing fast path.
   sharded_options.shard_repartition_drift = 1.3;
   ShardedQueryEngine sharded(sharded_options);
   const DatasetHandle shard_a = sharded.RegisterDataset("A", initial_a);
@@ -320,8 +325,10 @@ TEST(ShardedMutationTest, ShardedEqualsUnshardedUnderMutation) {
 
   // Two identical fuzzers: both engines see the exact same stream, so ids
   // assigned to inserts must line up between them.
-  MutationFuzzer flat_fuzz(/*seed=*/77, initial_a.size(), 1000.0f);
-  MutationFuzzer shard_fuzz(/*seed=*/77, initial_a.size(), 1000.0f);
+  MutationFuzzer flat_fuzz(/*seed=*/77, initial_a.size(), 1000.0f,
+                           /*reach=*/2.0);
+  MutationFuzzer shard_fuzz(/*seed=*/77, initial_a.size(), 1000.0f,
+                            /*reach=*/2.0);
   for (int batch = 0; batch < 10; ++batch) {
     const std::vector<Mutation> flat_muts = flat_fuzz.NextBatch(80);
     const std::vector<Mutation> shard_muts = shard_fuzz.NextBatch(80);
@@ -351,6 +358,12 @@ TEST(ShardedMutationTest, ShardedEqualsUnshardedUnderMutation) {
                               *flat.catalog().snapshot(flat_b), epsilon))
         << "batch " << batch;
   }
+  EXPECT_GE(sharded.engine()
+                .metrics()
+                .counter("touch_shard_repartitions_total")
+                .Value(),
+            1u)
+      << "the stream never drifted a shard past the re-partition threshold";
 }
 
 // --- versioned index-cache keys (latent-bug regression) ---------------------

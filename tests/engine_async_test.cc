@@ -6,6 +6,7 @@
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -232,6 +233,31 @@ TEST_F(QueryEngineAsyncTest, ContinuousPlannedRequestCompletesItsSinkOnce) {
   EXPECT_EQ(log.last_result.status, RequestStatus::kError);
   EXPECT_EQ(log.last_result.error, result.error);
   EXPECT_TRUE(log.pairs.empty());
+}
+
+TEST_F(QueryEngineAsyncTest, UnknownPlannedAlgorithmIsRejectedBeforeCounting) {
+  QueryEngine engine;
+  const DatasetHandle a = engine.RegisterDataset("small", small_);
+  const DatasetHandle b = engine.RegisterDataset("large", large_);
+  JoinPlan plan;
+  plan.algorithm = "no-such-algorithm";
+  SinkLog log;
+  const JoinResult result =
+      engine
+          .SubmitPlanned(plan, {a, b, 1.0f},
+                         std::make_unique<RecordingSink>(&log))
+          .Get();
+  EXPECT_EQ(result.status, RequestStatus::kError);
+  EXPECT_NE(result.error.find("no-such-algorithm"), std::string::npos)
+      << result.error;
+  EXPECT_EQ(log.completions, 1);
+  EXPECT_TRUE(log.pairs.empty());
+  // The plan counter's family label comes from validated plans only: a
+  // caller-chosen name must not mint a series.
+  std::ostringstream scrape;
+  engine.metrics().ExportPrometheus(scrape);
+  EXPECT_EQ(scrape.str().find("family=\"no"), std::string::npos)
+      << scrape.str();
 }
 
 TEST_F(QueryEngineAsyncTest, ConcurrentCountingCollectorTalliesAcrossThreads) {

@@ -2,11 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <numeric>
 
 #include "datagen/distributions.h"
-#include "engine/planner.h"
 #include "join/nested_loop.h"
 #include "test_util.h"
 
@@ -172,91 +170,6 @@ TEST(PairEstimateTest, ClusteringRaisesPairSkew) {
           GenerateSynthetic(Distribution::kClustered, 20000, 34)),
       2.0f);
   EXPECT_GT(clustered.pair_skew, uniform.pair_skew);
-}
-
-// --- DatasetStats serialization (round-trip without geometry) --------------
-
-TEST(DatasetStatsSerializationTest, RoundTripsExactly) {
-  const DatasetStats stats = ComputeDatasetStats(
-      GenerateSynthetic(Distribution::kClustered, 5000, 77));
-  const std::vector<uint8_t> bytes = SerializeDatasetStats(stats);
-  DatasetStats decoded;
-  ASSERT_TRUE(DeserializeDatasetStats(bytes, &decoded));
-  EXPECT_EQ(decoded.count, stats.count);
-  EXPECT_EQ(decoded.extent, stats.extent);
-  EXPECT_FLOAT_EQ(decoded.avg_object_extent.x, stats.avg_object_extent.x);
-  EXPECT_FLOAT_EQ(decoded.avg_object_extent.y, stats.avg_object_extent.y);
-  EXPECT_FLOAT_EQ(decoded.avg_object_extent.z, stats.avg_object_extent.z);
-  EXPECT_EQ(decoded.density, stats.density);
-  EXPECT_EQ(decoded.histogram_resolution, stats.histogram_resolution);
-  EXPECT_EQ(decoded.histogram, stats.histogram);
-  EXPECT_EQ(decoded.HistogramSkew(), stats.HistogramSkew());
-}
-
-TEST(DatasetStatsSerializationTest, EmptyStatsRoundTrip) {
-  const DatasetStats stats = ComputeDatasetStats(Dataset{});
-  DatasetStats decoded;
-  ASSERT_TRUE(DeserializeDatasetStats(SerializeDatasetStats(stats), &decoded));
-  EXPECT_EQ(decoded.count, 0u);
-  EXPECT_TRUE(decoded.histogram.empty());
-}
-
-TEST(DatasetStatsSerializationTest, RejectsCorruptedInput) {
-  const DatasetStats stats = ComputeDatasetStats(
-      GenerateSynthetic(Distribution::kUniform, 200, 9));
-  const std::vector<uint8_t> bytes = SerializeDatasetStats(stats);
-  DatasetStats decoded;
-  // Truncated at every prefix length, wrong version, and trailing garbage.
-  for (const size_t cut : {size_t{0}, size_t{3}, size_t{20}, bytes.size() - 1}) {
-    EXPECT_FALSE(DeserializeDatasetStats(
-        std::span<const uint8_t>(bytes.data(), cut), &decoded))
-        << "cut=" << cut;
-  }
-  std::vector<uint8_t> wrong_version = bytes;
-  wrong_version[0] ^= 0xff;
-  EXPECT_FALSE(DeserializeDatasetStats(wrong_version, &decoded));
-  std::vector<uint8_t> overlong = bytes;
-  overlong.push_back(0);
-  EXPECT_FALSE(DeserializeDatasetStats(overlong, &decoded));
-}
-
-// Stats may arrive from untrusted peers: a header claiming 2^21 cells/axis
-// with a histogram size whose byte count wraps uint64 to zero must be
-// rejected up front, never allocated.
-TEST(DatasetStatsSerializationTest, RejectsResolutionBomb) {
-  std::vector<uint8_t> bomb =
-      SerializeDatasetStats(ComputeDatasetStats(Dataset{}));
-  // Layout: version(4) count(8) extents+avg floats(36) density(8)
-  // resolution(4) histogram_size(8).
-  const size_t resolution_offset = 4 + 8 + 36 + 8;
-  ASSERT_EQ(bomb.size(), resolution_offset + 4 + 8);
-  const int32_t huge_resolution = 1 << 21;
-  const uint64_t wrapping_cells = uint64_t{1} << 63;  // * 4 wraps to 0 bytes
-  std::memcpy(bomb.data() + resolution_offset, &huge_resolution, 4);
-  std::memcpy(bomb.data() + resolution_offset + 4, &wrapping_cells, 8);
-  DatasetStats decoded;
-  EXPECT_FALSE(DeserializeDatasetStats(bomb, &decoded));
-}
-
-// Stats that traveled without their geometry plan identically — the sharded
-// catalog's contract: shipping DatasetStats is all planning ever needs.
-TEST(DatasetStatsSerializationTest, DeserializedStatsPlanIdentically) {
-  const DatasetStats a = ComputeDatasetStats(
-      GenerateSynthetic(Distribution::kClustered, 30000, 10));
-  const DatasetStats b = ComputeDatasetStats(
-      GenerateSynthetic(Distribution::kClustered, 60000, 11));
-  DatasetStats remote_a;
-  DatasetStats remote_b;
-  ASSERT_TRUE(DeserializeDatasetStats(SerializeDatasetStats(a), &remote_a));
-  ASSERT_TRUE(DeserializeDatasetStats(SerializeDatasetStats(b), &remote_b));
-
-  const Planner planner;
-  const JoinPlan local = planner.Plan(a, b, 1.0f);
-  const JoinPlan remote = planner.Plan(remote_a, remote_b, 1.0f);
-  EXPECT_EQ(local.algorithm, remote.algorithm);
-  EXPECT_EQ(local.build_on_a, remote.build_on_a);
-  EXPECT_EQ(local.rationale, remote.rationale);
-  EXPECT_DOUBLE_EQ(local.expected_results, remote.expected_results);
 }
 
 TEST(DatasetCatalogTest, RegisterAndLookup) {

@@ -6,6 +6,9 @@
 #include <atomic>
 #include <chrono>
 #include <numeric>
+#include <span>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -95,9 +98,19 @@ TEST(ShardPartitionTest, SlabsComeFromHistogramNotGeometry) {
   EXPECT_LT(partition.shards[0].mbr.hi.x, partition.shards[1].mbr.lo.x);
 }
 
-// --- ShardedCatalog stats round-trip ----------------------------------------
+// --- ShardedCatalog shards live in the inner catalog ------------------------
 
-TEST(ShardedCatalogTest, ShardStatsRoundTripThroughSerialization) {
+/// Objects currently held by one shard, read from the inner catalog (the
+/// only place shard geometry and stats live).
+size_t ShardCount(const ShardedQueryEngine& engine, DatasetHandle dataset,
+                  int shard) {
+  return engine.engine()
+      .catalog()
+      .snapshot(engine.catalog().entry(dataset).shards[shard].engine_handle)
+      ->stats.count;
+}
+
+TEST(ShardedCatalogTest, InnerShardCountsSumToTheDataset) {
   EngineOptions options;
   options.shards = 4;
   ShardedQueryEngine engine(options);
@@ -107,22 +120,19 @@ TEST(ShardedCatalogTest, ShardStatsRoundTripThroughSerialization) {
   const ShardedCatalog::Entry& entry = engine.catalog().entry(handle);
   ASSERT_EQ(entry.shards.size(), 4u);
   size_t total = 0;
-  for (const ShardedCatalog::Shard& shard : entry.shards) {
-    DatasetStats decoded;
-    ASSERT_TRUE(DeserializeDatasetStats(shard.stats_bytes, &decoded));
-    // The serialized bytes must describe exactly what the inner catalog
-    // holds for this shard — the wire form loses nothing planning needs.
-    const DatasetStats& reference =
-        engine.engine().catalog().stats(shard.engine_handle);
-    EXPECT_EQ(decoded.count, reference.count);
-    EXPECT_EQ(decoded.count, shard.count);
-    EXPECT_EQ(decoded.extent, reference.extent);
-    EXPECT_EQ(decoded.histogram_resolution, reference.histogram_resolution);
-    EXPECT_EQ(decoded.histogram, reference.histogram);
-    EXPECT_DOUBLE_EQ(decoded.density, reference.density);
-    total += shard.count;
+  for (int k = 0; k < 4; ++k) {
+    const size_t count = ShardCount(engine, handle, k);
+    // Every shard's stats describe exactly the boxes its inner dataset
+    // holds — the stats pair pruning and planning read.
+    EXPECT_EQ(count, engine.engine()
+                         .catalog()
+                         .boxes(entry.shards[k].engine_handle)
+                         .size());
+    EXPECT_EQ(count, entry.shards[k].to_global->size());
+    total += count;
   }
   EXPECT_EQ(total, entry.global_stats.count);
+  EXPECT_EQ(total, 8000u);
   EXPECT_EQ(engine.catalog().Find("data"), handle);
 }
 
@@ -289,9 +299,8 @@ TEST(ShardedEngineTest, EmptyShardPairsArePruned) {
       "B", GenerateSynthetic(Distribution::kUniform, 1000, 5));
 
   size_t populated = 0;
-  for (const ShardedCatalog::Shard& shard :
-       engine.catalog().entry(ha).shards) {
-    if (shard.count > 0) ++populated;
+  for (int k = 0; k < 8; ++k) {
+    if (ShardCount(engine, ha, k) > 0) ++populated;
   }
   EXPECT_EQ(populated, 1u);
 
@@ -300,8 +309,8 @@ TEST(ShardedEngineTest, EmptyShardPairsArePruned) {
   EXPECT_TRUE(result.merged.ok());
   EXPECT_GE(result.pruned.size(), 7u * 8u);
   for (const ShardPairReport& pair : result.pairs) {
-    EXPECT_GT(engine.catalog().entry(ha).shards[pair.shard_a].count, 0u);
-    EXPECT_GT(engine.catalog().entry(hb).shards[pair.shard_b].count, 0u);
+    EXPECT_GT(ShardCount(engine, ha, pair.shard_a), 0u);
+    EXPECT_GT(ShardCount(engine, hb, pair.shard_b), 0u);
   }
 }
 
@@ -479,6 +488,175 @@ TEST(ShardedEngineTest, MergedTelemetryAggregatesPairs) {
   const ShardedJoinResult warm = engine.Execute({ha, hb, 2.0f}, warm_out);
   EXPECT_TRUE(warm.merged.index_cache_hit);
   EXPECT_EQ(warm.merged.stats.results, result.merged.stats.results);
+}
+
+// --- Pair plans come from the inner engine's one planning entry point -------
+
+/// Every executed pair must carry exactly the plan QueryEngine::Plan makes
+/// for that pair's inner datasets (bar borrow_idle_workers, which the
+/// scatter clears) — the sharded engine has no planner of its own.
+void ExpectPairPlansMatchInnerEngine(const ShardedQueryEngine& engine,
+                                     const JoinRequest& request,
+                                     const ShardedJoinResult& result,
+                                     const std::string& context) {
+  ASSERT_TRUE(result.merged.ok()) << context << ": " << result.merged.error;
+  ASSERT_FALSE(result.pairs.empty()) << context;
+  const ShardedCatalog::Entry& entry_a = engine.catalog().entry(request.a);
+  const ShardedCatalog::Entry& entry_b = engine.catalog().entry(request.b);
+  for (const ShardPairReport& pair : result.pairs) {
+    const JoinRequest pair_request{
+        entry_a.shards[pair.shard_a].engine_handle,
+        entry_b.shards[pair.shard_b].engine_handle, request.epsilon};
+    const JoinPlan expected = engine.engine().Plan(pair_request);
+    const std::string where = context + ", pair (" +
+                              std::to_string(pair.shard_a) + ", " +
+                              std::to_string(pair.shard_b) + ")";
+    EXPECT_EQ(pair.plan.algorithm, expected.algorithm) << where;
+    EXPECT_EQ(pair.plan.build_on_a, expected.build_on_a) << where;
+    EXPECT_EQ(pair.plan.rationale, expected.rationale) << where;
+    EXPECT_EQ(pair.plan.expected_results, expected.expected_results) << where;
+    EXPECT_FALSE(pair.plan.borrow_idle_workers) << where;
+  }
+}
+
+TEST(ShardedEngineTest, PairPlansEqualInnerEnginePlans) {
+  EngineOptions options;
+  options.shards = 4;
+  // Static plans, so a re-plan after the run sees what the scatter saw
+  // (with calibration on, the pairs' own cold runs would become evidence).
+  options.calibration.enabled = false;
+  options.shard_repartition_drift = 1.3;
+  ShardedQueryEngine engine(options);
+  const JoinRequest request{
+      engine.RegisterDataset(
+          "A", GenerateSynthetic(Distribution::kClustered, 6000, 71)),
+      engine.RegisterDataset(
+          "B", GenerateSynthetic(Distribution::kUniform, 9000, 72)),
+      2.0f};
+  Counter& repartitions =
+      engine.engine().metrics().counter("touch_shard_repartitions_total");
+  CountingCollector out;
+  ExpectPairPlansMatchInnerEngine(engine, request,
+                                  engine.Execute(request, out),
+                                  "at registration");
+
+  // A batch inside the registration extent: the inner stats change, the
+  // partition does not.
+  std::vector<Mutation> batch;
+  for (uint32_t id = 0; id < 300; ++id) {
+    batch.push_back(Mutation{MutationKind::kUpdate, id * 7,
+                             CenteredBox(static_cast<float>(id % 50) * 3.0f,
+                                         500.0f, 500.0f, 2.0f)});
+    batch.push_back(Mutation{MutationKind::kDelete, id * 7 + 3, Box{}});
+  }
+  engine.ApplyMutations(request.a, batch);
+  ASSERT_EQ(repartitions.Value(), 0u);
+  ExpectPairPlansMatchInnerEngine(engine, request,
+                                  engine.Execute(request, out),
+                                  "after a mutation batch");
+
+  // Inserts far beyond the extent drift an edge shard past 1.3x its
+  // partition-time margin: the whole dataset re-partitions.
+  const DatasetHandle old_shard = engine.catalog()
+                                      .entry(request.a)
+                                      .shards[0]
+                                      .engine_handle;
+  batch.clear();
+  for (int k = 0; k < 200; ++k) {
+    batch.push_back(Mutation{
+        MutationKind::kInsert, kInvalidObjectId,
+        CenteredBox(2000.0f + static_cast<float>(k), 2000.0f, 2000.0f)});
+  }
+  engine.ApplyMutations(request.a, batch);
+  ASSERT_EQ(repartitions.Value(), 1u);
+  EXPECT_NE(engine.catalog().entry(request.a).shards[0].engine_handle,
+            old_shard);
+  ExpectPairPlansMatchInnerEngine(engine, request,
+                                  engine.Execute(request, out),
+                                  "after a re-partition");
+}
+
+// --- Mutation routing and failure paths -------------------------------------
+
+TEST(ShardedMutationRoutingTest, ExplicitInsertOfALiveIdIsANoOp) {
+  EngineOptions options;
+  options.shards = 4;
+  ShardedQueryEngine engine(options);
+  const Dataset a = GenerateSynthetic(Distribution::kUniform, 2000, 81);
+  const Dataset b = GenerateSynthetic(Distribution::kUniform, 2000, 82);
+  const JoinRequest request{engine.RegisterDataset("A", a),
+                            engine.RegisterDataset("B", b), 5.0f};
+  VectorCollector before;
+  ASSERT_TRUE(engine.Execute(request, before).merged.ok());
+
+  // Id 5 is live: like DatasetCatalog, the sharded engine skips the insert
+  // rather than moving or duplicating the object.
+  const Mutation live_insert{MutationKind::kInsert, 5,
+                             CenteredBox(990.0f, 990.0f, 990.0f)};
+  engine.ApplyMutations(request.a, std::span(&live_insert, 1));
+  size_t total = 0;
+  for (int k = 0; k < 4; ++k) total += ShardCount(engine, request.a, k);
+  EXPECT_EQ(total, a.size());
+  VectorCollector after;
+  ASSERT_TRUE(engine.Execute(request, after).merged.ok());
+  std::vector<IdPair> lhs = before.pairs();
+  std::vector<IdPair> rhs = after.pairs();
+  std::sort(lhs.begin(), lhs.end());
+  std::sort(rhs.begin(), rhs.end());
+  EXPECT_EQ(lhs, rhs);
+
+  // The skipped insert claimed no id: the next auto-id insert (a copy of
+  // B's first box, so it must meet it) still gets the first id past the
+  // registration count.
+  const Mutation fresh{MutationKind::kInsert, kInvalidObjectId, b[0]};
+  engine.ApplyMutations(request.a, std::span(&fresh, 1));
+  VectorCollector grown;
+  ASSERT_TRUE(engine.Execute(request, grown).merged.ok());
+  const IdPair expected(static_cast<uint32_t>(a.size()), 0);
+  EXPECT_NE(std::find(grown.pairs().begin(), grown.pairs().end(), expected),
+            grown.pairs().end());
+}
+
+TEST(ShardedEngineTest, FailingPairNamesItsShards) {
+  EngineOptions options;
+  options.shards = 2;
+  options.threads = 1;
+  // Fail exactly one pair's execution; the others complete normally.
+  std::atomic<bool> failed{false};
+  options.phase_observer = [&](RequestPhase phase) {
+    if (phase == RequestPhase::kExecuting && !failed.exchange(true)) {
+      throw std::runtime_error("injected pair failure");
+    }
+  };
+  ShardedQueryEngine engine(options);
+  const DatasetHandle ha = engine.RegisterDataset(
+      "A", GenerateSynthetic(Distribution::kUniform, 2000, 91));
+  const DatasetHandle hb = engine.RegisterDataset(
+      "B", GenerateSynthetic(Distribution::kUniform, 2000, 92));
+  CountingCollector out;
+  const ShardedJoinResult result = engine.Execute({ha, hb, 5.0f}, out);
+  EXPECT_EQ(result.merged.status, RequestStatus::kError);
+  EXPECT_EQ(result.merged.error.rfind("shard pair (", 0), 0u)
+      << result.merged.error;
+  EXPECT_NE(result.merged.error.find("injected pair failure"),
+            std::string::npos)
+      << result.merged.error;
+  const size_t failed_pairs = std::count_if(
+      result.pairs.begin(), result.pairs.end(), [](const ShardPairReport& p) {
+        return p.status == RequestStatus::kError;
+      });
+  EXPECT_EQ(failed_pairs, 1u);
+}
+
+TEST(ShardedEngineTest, DefaultHandleGetReportsError) {
+  ShardedRequestHandle handle;
+  EXPECT_FALSE(handle.valid());
+  EXPECT_EQ(handle.pair_count(), 0u);
+  EXPECT_FALSE(handle.Cancel());
+  const ShardedJoinResult result = handle.Get();
+  EXPECT_EQ(result.merged.status, RequestStatus::kError);
+  EXPECT_NE(result.merged.error.find("invalid sharded request handle"),
+            std::string::npos);
 }
 
 }  // namespace
